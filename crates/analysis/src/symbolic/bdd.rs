@@ -57,6 +57,53 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative word hasher in the style of rustc's `FxHasher`: each
+/// word is folded in with a rotate, an xor and one multiply. The engine's
+/// tables are keyed by small integers (`Ref`s, variable ids) that the
+/// engine allocates itself, so SipHash's resistance to adversarial keys
+/// buys nothing here and costs most of a lookup. Never use it for keys a
+/// peer controls.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher {
+    hash: u64,
+}
+
+/// The odd multiplier of rustc's `FxHasher` (64-bit).
+const WORD_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(WORD_SEED);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward, so the low bits the table indexes
+        // with are the weakest; rotate the well-mixed middle bits down.
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`WordHasher`]. Nothing iterates these maps,
+/// so the hasher changes lookup speed only, never a result.
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// A handle to a BDD node (an index into the manager's arena).
 ///
@@ -194,8 +241,8 @@ impl SiftStats {
 #[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Ref, Ref), Ref>,
-    ite_memo: HashMap<(Ref, Ref, Ref), Ref>,
+    unique: WordMap<(u32, Ref, Ref), Ref>,
+    ite_memo: WordMap<(Ref, Ref, Ref), Ref>,
     ite_lookups: u64,
     ite_hits: u64,
     /// `var2level[v]` = current level of variable `v`; identity until
@@ -235,8 +282,8 @@ impl Bdd {
                 Node { var: TERMINAL_VAR, lo: FALSE, hi: FALSE },
                 Node { var: TERMINAL_VAR, lo: TRUE, hi: TRUE },
             ],
-            unique: HashMap::new(),
-            ite_memo: HashMap::new(),
+            unique: WordMap::default(),
+            ite_memo: WordMap::default(),
             ite_lookups: 0,
             ite_hits: 0,
             var2level: Vec::new(),
@@ -495,11 +542,11 @@ impl Bdd {
     pub fn restrict(&mut self, f: Ref, var: usize, val: bool) -> Ref {
         let v = u32::try_from(var).expect("variable index fits in u32");
         self.ensure_var(v);
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.restrict_rec(f, v, val, &mut memo)
     }
 
-    fn restrict_rec(&mut self, f: Ref, var: u32, val: bool, memo: &mut HashMap<Ref, Ref>) -> Ref {
+    fn restrict_rec(&mut self, f: Ref, var: u32, val: bool, memo: &mut WordMap<Ref, Ref>) -> Ref {
         let n = self.node(f);
         if self.level_of_var(n.var) > self.level_of_var(var) {
             // Ordered BDD: once below `var`'s level (or at a terminal),
@@ -554,22 +601,25 @@ impl Bdd {
         }
         lvls.sort_unstable();
         let created = u32::try_from(lvls.len()).expect("fits");
-        let rank: HashMap<u32, u32> =
-            lvls.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
-        let mut memo: HashMap<Ref, u128> = HashMap::new();
+        // `rank[level]` for the counted levels; other entries are never read.
+        let mut rank = vec![0u32; self.level2var.len()];
+        for (i, &l) in lvls.iter().enumerate() {
+            rank[l as usize] = i as u32;
+        }
+        let mut memo: WordMap<Ref, u128> = WordMap::default();
         let below = self.sat_count_rec(f, n, created, &rank, &mut memo);
         (below << self.rank_of(f, n, created, &rank)) << (n - created)
     }
 
     /// Rank of a node's level among the counted variables, with terminals
     /// pinned to `created` (one past the last counted rank).
-    fn rank_of(&self, f: Ref, n_vars: u32, created: u32, rank: &HashMap<u32, u32>) -> u32 {
+    fn rank_of(&self, f: Ref, n_vars: u32, created: u32, rank: &[u32]) -> u32 {
         let v = self.node(f).var;
         if v == TERMINAL_VAR {
             created
         } else {
             assert!(v < n_vars, "node variable {v} out of range 0..{n_vars}");
-            rank[&self.var2level[v as usize]]
+            rank[self.var2level[v as usize] as usize]
         }
     }
 
@@ -579,8 +629,8 @@ impl Bdd {
         f: Ref,
         n_vars: u32,
         created: u32,
-        rank: &HashMap<u32, u32>,
-        memo: &mut HashMap<Ref, u128>,
+        rank: &[u32],
+        memo: &mut WordMap<Ref, u128>,
     ) -> u128 {
         if f == FALSE {
             return 0;
@@ -1284,6 +1334,46 @@ mod tests {
         assert!(stats.rounds <= 1);
         assert!(bdd.eval(f, (1 << 0) | (1 << 6)));
         assert!(!bdd.eval(f, 1 << 0));
+    }
+
+    /// Node counts, ITE lookups and hits of the `symbolic_stats` and
+    /// `symbolic_sift` workloads recorded in `BENCH_symbolic.json`. The
+    /// table hasher may change how fast the engine runs, never what it
+    /// allocates, looks up or finds.
+    #[test]
+    fn engine_counts_match_the_recorded_benchmark_workloads() {
+        use crate::symbolic::compile::interleaved_operand_vars;
+        use crate::symbolic::metrics::exact_metrics;
+        use crate::symbolic::twins;
+        use xlac_adders::{FullAdderKind, RippleCarryAdder};
+        use xlac_multipliers::WallaceMultiplier;
+
+        let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx4, 8).unwrap();
+        let mut bdd = Bdd::new();
+        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+        let approx = twins::wallace_multiplier(&mut bdd, &wallace, &a, &b);
+        let exact = twins::mul_exact(&mut bdd, &a, &b);
+        let _ = exact_metrics(&mut bdd, &approx, &exact, 16);
+        let s = bdd.stats();
+        assert_eq!((s.nodes, s.ite_lookups, s.ite_hits), (387_731, 1_157_610, 501_400));
+
+        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4).unwrap();
+        let mut bdd = Bdd::new();
+        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+        let approx = twins::ripple_adder(&mut bdd, &rca, &a, &b);
+        let exact = twins::add_exact(&mut bdd, &a, &b, FALSE);
+        let _ = exact_metrics(&mut bdd, &approx, &exact, 16);
+        let s = bdd.stats();
+        assert_eq!((s.nodes, s.ite_lookups, s.ite_hits), (1_290, 4_070, 1_722));
+
+        // The Wallace 8×8 miter in the benchmark's middle-out order.
+        let mut bdd = Bdd::new();
+        let a: Vec<Ref> = [7, 8, 6, 9, 5, 10, 4, 11].iter().map(|&v| bdd.var(v)).collect();
+        let b: Vec<Ref> = [3, 12, 2, 13, 1, 14, 0, 15].iter().map(|&v| bdd.var(v)).collect();
+        let mut roots = twins::wallace_multiplier(&mut bdd, &wallace, &a, &b);
+        roots.extend(twins::mul_exact(&mut bdd, &a, &b));
+        let sift = bdd.sift(&roots, &SiftOptions::default());
+        assert_eq!((sift.initial_nodes, sift.final_nodes, sift.swaps), (31_895, 15_154, 1_556));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use super::bdd::{Bdd, Ref, TRUE};
+use super::bdd::{Bdd, Ref, WordMap, TRUE};
 use crate::bound::ErrorBound;
 
 /// Hard ceiling on `denom_bits`: counts live in `u128`, and convolution
@@ -563,7 +563,7 @@ fn word_pmf(bdd: &Bdd, bits: &[Ref], n_vars: usize, weights: &[i128]) -> ErrorPm
         by_level: &'a [usize],
         rank_of: &'a [usize],
         n_vars: usize,
-        memo: HashMap<Vec<Ref>, Vec<(i128, u128)>>,
+        memo: WordMap<Vec<Ref>, Vec<(i128, u128)>>,
     }
 
     impl Dp<'_> {
@@ -629,7 +629,7 @@ fn word_pmf(bdd: &Bdd, bits: &[Ref], n_vars: usize, weights: &[i128]) -> ErrorPm
         by_level: &by_level,
         rank_of: &rank_of,
         n_vars,
-        memo: HashMap::new(),
+        memo: WordMap::default(),
     };
     let root_rank = dp.state_rank(bits);
     let mass = dp.solve(bits);
