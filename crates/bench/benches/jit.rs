@@ -9,6 +9,11 @@
 //! identical statistics before anything is timed — the RNG-order
 //! discipline makes them the same experiment.
 //!
+//! A `sweep_stages` group times the per-batch stages around the engine
+//! on their own — one 64-lane operand draw per distribution, and the
+//! lane↔plane transposes at the widths the 8-bit sweeps use — so each
+//! stage's cost has its own row.
+//!
 //! `scripts/ci.sh` records these lines into `BENCH_jit.json` and
 //! `xlac-jit-gate` enforces the compiled-≥-interpreted floors.
 
@@ -122,6 +127,31 @@ fn bench_raw_eval(group: &str, nl: &Netlist, seed: u64) {
     });
 }
 
+/// The sweep stages around evaluation, one 64-lane batch per iteration:
+/// `draw_batch` of 8-bit operands under each shipped distribution,
+/// `to_planes` at 8 and 16 bits (operands), `from_planes` at 9 and 16
+/// planes (adder and multiplier outputs).
+fn bench_sweep_stages() {
+    use xlac_core::dist::InputDistribution;
+    use xlac_core::lanes;
+    use xlac_core::rng::{DefaultRng, Rng};
+
+    let mut h = Harness::group("sweep_stages");
+    let mut rng = DefaultRng::seed_from_u64(0x57A6E);
+    for dist in InputDistribution::ALL {
+        h.bench(&format!("draw_batch_{}", dist.label()), || dist.draw_batch(&mut rng, 8));
+    }
+    let mut values = [0u64; lanes::LANES];
+    rng.fill_u64(&mut values);
+    for width in [8usize, 16] {
+        h.bench(&format!("to_planes_w{width}"), || lanes::to_planes(black_box(&values), width));
+    }
+    for n in [9usize, 16] {
+        let planes = &values[..n];
+        h.bench(&format!("from_planes_n{n}"), || lanes::from_planes(black_box(planes)));
+    }
+}
+
 fn main() {
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
     let rca_nl = ripple_netlist(&rca);
@@ -132,6 +162,8 @@ fn main() {
     let wallace_nl = wallace_netlist(&wallace);
     bench_pair_sweep("jit_wallace8x8_sweep_65536", &wallace_nl, 8, |a, b| a * b);
     bench_raw_eval("jit_wallace8x8_eval_65536", &wallace_nl, 0xE7A2);
+
+    bench_sweep_stages();
 
     let profile = xlac_obs::export_json_lines();
     if !profile.is_empty() {

@@ -110,58 +110,44 @@ impl InputDistribution {
     #[must_use]
     pub fn draw_batch(&self, rng: &mut DefaultRng, width: usize) -> [u64; 64] {
         assert!((1..=64).contains(&width), "operand width {width} out of range");
+        let mask = bits::mask(width);
         match self {
             InputDistribution::Uniform => {
                 let mut v = [0u64; 64];
                 rng.fill_u64(&mut v);
-                for x in &mut v {
-                    *x = bits::truncate(*x, width);
-                }
-                v
+                v.map(|x| x & mask)
             }
-            InputDistribution::SumOfUniforms { .. } => {
-                let k = self.k_clamped();
-                let mut acc = [0u64; 64];
-                let mut draw = [0u64; 64];
-                for _ in 0..k {
-                    rng.fill_u64(&mut draw);
-                    for (a, d) in acc.iter_mut().zip(&draw) {
-                        *a += bits::truncate(*d, width);
-                    }
-                }
-                for a in &mut acc {
-                    *a /= k;
-                }
-                acc
-            }
+            // One arm per clamped `k`, so each division has a constant
+            // divisor (a multiply and a shift, not a hardware divide).
+            InputDistribution::SumOfUniforms { .. } => match self.k_clamped() {
+                1 => mean_of_uniforms::<1>(rng, mask),
+                2 => mean_of_uniforms::<2>(rng, mask),
+                3 => mean_of_uniforms::<3>(rng, mask),
+                _ => mean_of_uniforms::<4>(rng, mask),
+            },
             InputDistribution::ExponentialDecay => {
                 let hb = DECAY_BITS.min(width);
                 let gmax = (1u64 << hb) - 1;
+                let low_bits = width - hb;
+                let low_mask = bits::mask(low_bits);
                 let mut geo = [0u64; 64];
                 let mut low = [0u64; 64];
                 rng.fill_u64(&mut geo);
                 rng.fill_u64(&mut low);
-                let mut v = [0u64; 64];
-                for j in 0..64 {
+                std::array::from_fn(|j| {
                     let g = u64::from(geo[j].trailing_ones()).min(gmax);
-                    v[j] = (g << (width - hb)) | bits::truncate(low[j], width - hb);
-                }
-                v
+                    (g << low_bits) | (low[j] & low_mask)
+                })
             }
             InputDistribution::SparsePeaked => {
+                let peak = 1u64 << (width - 1);
                 let mut sel = [0u64; 64];
                 let mut uni = [0u64; 64];
                 rng.fill_u64(&mut sel);
                 rng.fill_u64(&mut uni);
-                let mut v = [0u64; 64];
-                for j in 0..64 {
-                    v[j] = match sel[j] & 3 {
-                        0 | 1 => 1u64 << (width - 1),
-                        2 => 0,
-                        _ => bits::truncate(uni[j], width),
-                    };
-                }
-                v
+                // Selector `0 | 1` → peak, `2` → zero, `3` → uniform, as a
+                // table lookup rather than a data-dependent branch.
+                std::array::from_fn(|j| [peak, peak, 0, uni[j] & mask][(sel[j] & 3) as usize])
             }
         }
     }
@@ -262,6 +248,21 @@ impl DistPmf {
             self.weights.iter().enumerate().map(|(v, &w)| w * v as u128).sum();
         weight_to_f64(num) / self.denominator()
     }
+}
+
+/// `floor((u_1 + … + u_K) / K)` per lane for `K` masked uniform fills,
+/// the Irwin–Hall sampler. The sum wraps modulo `2^64` at widths past
+/// 62, where `K` full-width values can overflow it.
+fn mean_of_uniforms<const K: u64>(rng: &mut DefaultRng, mask: u64) -> [u64; 64] {
+    let mut acc = [0u64; 64];
+    let mut draw = [0u64; 64];
+    for _ in 0..K {
+        rng.fill_u64(&mut draw);
+        for (a, d) in acc.iter_mut().zip(&draw) {
+            *a = a.wrapping_add(d & mask);
+        }
+    }
+    acc.map(|a| a / K)
 }
 
 fn weight_to_f64(w: u128) -> f64 {
@@ -378,6 +379,104 @@ mod tests {
         }
         // Both generators are now at the same stream position.
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// FNV-1a over the little-endian bytes of 2 000 `draw_batch` outputs.
+    fn draw_stream_hash(dist: InputDistribution, width: usize) -> u64 {
+        let mut rng = DefaultRng::seed_from_u64(0x5EED_0000 + width as u64);
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for _ in 0..2000 {
+            for v in dist.draw_batch(&mut rng, width) {
+                for byte in v.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn draw_streams_match_their_golden_hashes() {
+        // Every sweep statistic under a distribution is a function of
+        // these streams, so a faster sampler must reproduce them exactly.
+        // `k = 2, 3` pin the other constant-divisor arms of the Irwin–Hall
+        // sampler; `k = 1` must reproduce the uniform stream.
+        const WIDTHS: [usize; 6] = [1, 3, 8, 16, 33, 64];
+        let golden: [(InputDistribution, [u64; 6]); 6] = [
+            (
+                InputDistribution::Uniform,
+                [
+                    0x3DAC_5060_BC39_7464,
+                    0x9B4A_6A3E_30A5_C903,
+                    0x88AE_6453_8C6A_F4FE,
+                    0x6774_3649_78C4_9EDF,
+                    0xF500_A4A5_9179_15A9,
+                    0xE461_9793_0007_FCCD,
+                ],
+            ),
+            (
+                InputDistribution::SumOfUniforms { k: 4 },
+                [
+                    0x294B_789C_F67C_AE24,
+                    0xE6D1_906C_A0E0_2BC6,
+                    0xA264_2E29_D6AC_AE53,
+                    0xB651_9D69_6950_8825,
+                    0x54EE_D57B_057F_8FAA,
+                    0x5B5F_72EE_062D_4BA9,
+                ],
+            ),
+            (
+                InputDistribution::ExponentialDecay,
+                [
+                    0xD3B7_6125_F8A9_6865,
+                    0x78C2_969C_EA9B_C6C7,
+                    0xD4F6_9604_42DA_CAC3,
+                    0xA2C1_9840_D9D4_75ED,
+                    0xCAB1_A2D6_AF74_592F,
+                    0xA237_B29A_9EBF_5D5C,
+                ],
+            ),
+            (
+                InputDistribution::SparsePeaked,
+                [
+                    0xA7C7_5B97_E039_9544,
+                    0x9E6A_47C0_AC3D_5561,
+                    0xB68C_6BAD_AE0B_9F19,
+                    0x6392_C6D7_33FD_EE59,
+                    0xC08E_02BE_240B_C9F4,
+                    0x3427_60E0_3A27_E952,
+                ],
+            ),
+            (
+                InputDistribution::SumOfUniforms { k: 2 },
+                [
+                    0x1B38_D6B4_9B2B_C445,
+                    0x205A_38F1_818A_9523,
+                    0xA5D7_CBE6_54C6_FF48,
+                    0xAB07_D7A3_F1D4_84E2,
+                    0x915F_2809_E7A7_2389,
+                    0xAAD2_1BF1_9152_5523,
+                ],
+            ),
+            (
+                InputDistribution::SumOfUniforms { k: 3 },
+                [
+                    0x94C5_C1AD_5C8E_C084,
+                    0xCD1A_EDED_F283_B0A6,
+                    0x7352_157D_1ABD_9D27,
+                    0xF3C8_1461_463D_EAC5,
+                    0x08CD_3072_D900_E39F,
+                    0xDE5E_16EA_4894_C976,
+                ],
+            ),
+        ];
+        let k1 = (InputDistribution::SumOfUniforms { k: 1 }, golden[0].1);
+        for (dist, hashes) in golden.into_iter().chain([k1]) {
+            for (width, want) in WIDTHS.into_iter().zip(hashes) {
+                let got = draw_stream_hash(dist, width);
+                assert_eq!(got, want, "{dist:?} at width {width}: 0x{got:016X}");
+            }
+        }
     }
 
     #[test]

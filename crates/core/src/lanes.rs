@@ -32,20 +32,47 @@
 /// Number of parallel lanes in one bit-sliced word (`u64::BITS`).
 pub const LANES: usize = 64;
 
+/// Transposes an 8×8 bit matrix stored one row per byte: bit `8r + c`
+/// moves to bit `8c + r`. Three delta swaps exchange the off-diagonal
+/// 1×1, then 2×2, then 4×4 sub-blocks (Hacker's Delight §7-3).
+#[inline(always)]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
 /// Transposes 64 lane values into `width` bit-planes.
 ///
 /// Bits of `values[j]` at positions `>= width` are ignored (the planes
 /// represent a `width`-bit operand batch, matching the hardware's
 /// truncate-on-input semantics).
+///
+/// # Panics
+///
+/// Panics when `width > 64` (a `u64` lane value has no such bits).
 #[inline]
 #[must_use]
 pub fn to_planes(values: &[u64; LANES], width: usize) -> Vec<u64> {
+    assert!(width <= 64, "width {width} exceeds a u64 lane value");
     let mut planes = vec![0u64; width];
-    // Lane-major order keeps each value in a register while its bits
-    // scatter into the (L1-resident) plane array.
-    for (j, &v) in values.iter().enumerate() {
-        for (i, plane) in planes.iter_mut().enumerate() {
-            *plane |= ((v >> i) & 1) << j;
+    // One 8×8 block per (plane byte `h`, lane byte `g`): byte `r` of the
+    // block is bits `8h .. 8h + 8` of lane `8g + r`; transposed, byte `c`
+    // holds bit `8h + c` of those eight lanes, i.e. byte `g` of plane
+    // `8h + c`. Planes past `width` are never written.
+    for (h, dst) in planes.chunks_mut(8).enumerate() {
+        for (g, group) in values.chunks_exact(8).enumerate() {
+            let block = group
+                .iter()
+                .enumerate()
+                .fold(0u64, |x, (r, &v)| x | ((v >> (8 * h)) & 0xFF) << (8 * r));
+            let t = transpose8(block);
+            for (c, plane) in dst.iter_mut().enumerate() {
+                *plane |= ((t >> (8 * c)) & 0xFF) << (8 * g);
+            }
         }
     }
     planes
@@ -64,9 +91,19 @@ pub fn to_planes(values: &[u64; LANES], width: usize) -> Vec<u64> {
 pub fn from_planes(planes: &[u64]) -> [u64; LANES] {
     assert!(planes.len() <= 64, "{} planes exceed a u64 lane value", planes.len());
     let mut values = [0u64; LANES];
-    for (i, plane) in planes.iter().enumerate() {
-        for (j, v) in values.iter_mut().enumerate() {
-            *v |= ((plane >> j) & 1) << i;
+    // The mirror of `to_planes`: byte `c` of the block is byte `g` of
+    // plane `8h + c` (missing planes read as zero); transposed, byte `r`
+    // holds bits `8h .. 8h + 8` of lane `8g + r`.
+    for (h, src) in planes.chunks(8).enumerate() {
+        for (g, group) in values.chunks_exact_mut(8).enumerate() {
+            let block = src
+                .iter()
+                .enumerate()
+                .fold(0u64, |x, (c, &p)| x | ((p >> (8 * g)) & 0xFF) << (8 * c));
+            let t = transpose8(block);
+            for (r, v) in group.iter_mut().enumerate() {
+                *v |= ((t >> (8 * r)) & 0xFF) << (8 * h);
+            }
         }
     }
     values
@@ -268,6 +305,45 @@ mod tests {
                 assert_eq!(lane(&planes, j), m, "width {width} lane {j}");
             }
         }
+    }
+
+    #[test]
+    fn transposes_match_the_layout_invariant_bit_by_bit() {
+        // A round trip cannot catch an error that is its own inverse, so
+        // each direction is checked against the invariant directly, at
+        // every width and plane count, on unmasked random values.
+        let mut rng = DefaultRng::seed_from_u64(0x7A5E);
+        for width in 0..=64usize {
+            for _ in 0..8 {
+                let mut values = [0u64; LANES];
+                rng.fill_u64(&mut values);
+                let planes = to_planes(&values, width);
+                assert_eq!(planes.len(), width);
+                for (i, plane) in planes.iter().enumerate() {
+                    for (j, v) in values.iter().enumerate() {
+                        assert_eq!(plane >> j & 1, v >> i & 1, "to_planes w={width} i={i} j={j}");
+                    }
+                }
+
+                let mut planes = vec![0u64; width];
+                rng.fill_u64(&mut planes);
+                let values = from_planes(&planes);
+                for (j, v) in values.iter().enumerate() {
+                    if width < 64 {
+                        assert_eq!(v >> width, 0, "from_planes n={width}: bits past the planes");
+                    }
+                    for (i, plane) in planes.iter().enumerate() {
+                        assert_eq!(plane >> j & 1, v >> i & 1, "from_planes n={width} i={i} j={j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a u64 lane value")]
+    fn to_planes_rejects_widths_past_64() {
+        let _ = to_planes(&[u64::MAX; LANES], 65);
     }
 
     #[test]

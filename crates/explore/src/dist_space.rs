@@ -15,7 +15,11 @@
 //! The Monte-Carlo twin ([`measured_stats`]) runs the same configuration
 //! through the bit-sliced `xlac-sim` engine with the same distribution
 //! threaded into the operand draw — the convergence of the two legs is
-//! pinned by this module's property tests.
+//! pinned by this module's property tests. Each configuration compiles
+//! its netlist once, when it is built, and the twin sweeps that program
+//! on 512-lane blocks; the gate-at-a-time interpreter
+//! ([`xlac_sim::interpreted_pair_sweep`]) over the same netlist is its
+//! reference, equal to it statistic for statistic.
 //!
 //! # Example
 //!
@@ -42,7 +46,7 @@ use xlac_logic::netlist::Netlist;
 use xlac_multipliers::hw::wallace_netlist;
 use xlac_multipliers::{CompressKnob, CompressorMultiplier, Multiplier, WallaceMultiplier};
 use xlac_obs::{obs_count, obs_span};
-use xlac_sim::{interpreted_pair_sweep, SweepOptions};
+use xlac_sim::{compiled_pair_sweep, CompiledProgram, SweepOptions};
 
 /// Seed for the deterministic switching-activity power estimates of the
 /// word-adder descriptors (the multiplier families carry their own).
@@ -61,13 +65,15 @@ pub enum Family {
 
 /// One netlist-backed configuration of the combined space. Every leg —
 /// exact PMF scoring, Monte-Carlo sweeps, cost — runs off the stored
-/// netlist, so the two metric paths measure the same hardware.
+/// netlist (the sweeps through its compiled program), so the two metric
+/// paths measure the same hardware.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     name: String,
     family: Family,
     width: usize,
     netlist: Netlist,
+    program: CompiledProgram,
     cost: HwCost,
 }
 
@@ -111,6 +117,11 @@ impl DistConfig {
         }
     }
 
+    fn new(name: String, family: Family, width: usize, netlist: Netlist, cost: HwCost) -> Self {
+        let program = CompiledProgram::compile(&netlist);
+        DistConfig { name, family, width, netlist, program, cost }
+    }
+
     fn from_word_adder(d: &UnitDescriptor) -> DistConfig {
         let netlist = d.netlist().clone();
         let cost = HwCost {
@@ -118,33 +129,17 @@ impl DistConfig {
             power_nw: netlist.switching_power(512, POWER_SEED),
             delay: netlist.delay(),
         };
-        DistConfig {
-            name: d.name().to_string(),
-            family: Family::Adder,
-            width: netlist.n_inputs() / 2,
-            netlist,
-            cost,
-        }
+        let width = netlist.n_inputs() / 2;
+        DistConfig::new(d.name().to_string(), Family::Adder, width, netlist, cost)
     }
 
     fn from_comptree(m: &CompressorMultiplier) -> DistConfig {
-        DistConfig {
-            name: m.name(),
-            family: Family::Multiplier,
-            width: m.width(),
-            netlist: m.netlist().clone(),
-            cost: m.hw_cost(),
-        }
+        let netlist = m.netlist().clone();
+        DistConfig::new(m.name(), Family::Multiplier, m.width(), netlist, m.hw_cost())
     }
 
     fn from_wallace(m: &WallaceMultiplier) -> DistConfig {
-        DistConfig {
-            name: m.name(),
-            family: Family::Multiplier,
-            width: m.width(),
-            netlist: wallace_netlist(m),
-            cost: m.hw_cost(),
-        }
+        DistConfig::new(m.name(), Family::Multiplier, m.width(), wallace_netlist(m), m.hw_cost())
     }
 }
 
@@ -318,10 +313,13 @@ pub fn distribution_fronts(width: usize) -> Result<Vec<DistFront>> {
 }
 
 /// The Monte-Carlo twin of [`exact_config_metrics`]: the configuration's
-/// netlist swept through the bit-sliced interpreter with `trials`
-/// operand pairs drawn from `dist` (deterministic in `seed`, invariant
-/// in worker count). Converges on the exact PMF metrics as `trials`
-/// grows — the property the module's tests pin for every distribution.
+/// compiled netlist swept on 512-lane plane blocks
+/// ([`compiled_pair_sweep`]) with `trials` operand pairs drawn from
+/// `dist` (deterministic in `seed`, invariant in worker count). The
+/// result equals [`xlac_sim::interpreted_pair_sweep`] over
+/// [`DistConfig::netlist`] with the same options — same draw order, same
+/// chunk streams — and converges on the exact PMF metrics as `trials`
+/// grows; the module's tests pin both.
 #[must_use]
 pub fn measured_stats(
     config: &DistConfig,
@@ -330,7 +328,7 @@ pub fn measured_stats(
     seed: u64,
 ) -> ErrorStats {
     let opts = SweepOptions::new(trials, seed).dist(dist);
-    interpreted_pair_sweep(&config.netlist, config.width(), config.exact_fn(), &opts)
+    compiled_pair_sweep::<[u64; 8], _>(&config.program, config.width(), config.exact_fn(), &opts)
 }
 
 #[cfg(test)]
@@ -433,6 +431,31 @@ mod tests {
                             assert!(!dominates, "{} dominates {} on the front", a.name, b.name);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn measured_stats_equals_the_interpreted_sweep() {
+        // 20 000 trials leave a partial final chunk (3 616 trials), whose
+        // last 512-lane block and last 64-lane batch are partial too: the
+        // padded lanes of the compiled sweep must not reach the statistics.
+        let trials = 20_000;
+        for (k, config) in enumerate_distribution_space(8).unwrap().iter().enumerate() {
+            for &dist in &InputDistribution::ALL {
+                let seed = 0x1E7 + k as u64;
+                let got = measured_stats(config, dist, trials, seed);
+                for threads in [1, 2] {
+                    let opts = SweepOptions::new(trials, seed).dist(dist).threads(threads);
+                    let want = xlac_sim::interpreted_pair_sweep(
+                        config.netlist(),
+                        config.width(),
+                        config.exact_fn(),
+                        &opts,
+                    );
+                    let label = dist.label();
+                    assert_eq!(got, want, "{} under {label} at {threads} thread(s)", config.name());
                 }
             }
         }
