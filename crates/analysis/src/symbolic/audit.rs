@@ -21,6 +21,8 @@ use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
 
+use xlac_sim::fan_out;
+
 use super::bdd::{Bdd, Ref, FALSE};
 use super::compile::{compile_netlist, interleaved_operand_vars};
 use super::metrics::{exact_metrics, ExactMetrics};
@@ -162,95 +164,17 @@ fn audit_derived_pair(
     BoundAudit::new(format!("absint:{name}"), &bound, &metrics)
 }
 
-/// The abstract-interpretation sweep: every ≤ 16-input registry module's
-/// automatically derived bound, audited against exact metrics. These are
-/// the entries `scripts/ci.sh`'s `absint_gate` step parses out of the
-/// `--exact --json` report.
-fn absint_audits() -> Vec<BoundAudit> {
-    use xlac_adders::hw::subtractor_netlist;
-    use xlac_multipliers::hw::wallace_netlist;
-    let mut audits = Vec::new();
-
-    for d in xlac_adders::approx_cell_descriptors() {
-        let exact = d.reference_netlist();
-        audits.push(audit_derived_pair(
-            &mut SharedReference::netlist(exact),
-            &format!("cell/{}", d.name()),
-            d.netlist(),
-            exact,
-        ));
-    }
-    let accurate_fa = FullAdderKind::Accurate.structural_netlist();
-    let mut reference = SharedReference::netlist(&accurate_fa);
-    for kind in FullAdderKind::APPROXIMATE {
-        audits.push(audit_derived_pair(
-            &mut reference,
-            &kind.to_string(),
-            &kind.structural_netlist(),
-            &accurate_fa,
-        ));
-    }
-    let accurate_mul2x2 = Mul2x2Kind::Accurate.netlist();
-    let mut reference = SharedReference::netlist(&accurate_mul2x2);
-    for kind in Mul2x2Kind::ALL {
-        if kind != Mul2x2Kind::Accurate {
-            audits.push(audit_derived_pair(
-                &mut reference,
-                &format!("mul2x2_{kind}"),
-                &kind.netlist(),
-                &accurate_mul2x2,
-            ));
-        }
-    }
-    let accurate_rca = xlac_adders::hw::ripple_netlist(&RippleCarryAdder::accurate(8));
-    let mut reference = SharedReference::netlist(&accurate_rca);
-    for kind in FullAdderKind::APPROXIMATE {
-        let rca =
-            RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
-        audits.push(audit_derived_pair(
-            &mut reference,
-            &rca.name(),
-            &xlac_adders::hw::ripple_netlist(&rca),
-            &accurate_rca,
-        ));
-    }
-    {
-        let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
-        audits.push(audit_derived_pair(
-            &mut reference,
-            &gear.name(),
-            &xlac_adders::hw::gear_netlist(&gear),
-            &accurate_rca,
-        ));
-    }
-    let exact_sub =
-        subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
-    let mut reference = SharedReference::netlist(&exact_sub);
-    for kind in FullAdderKind::APPROXIMATE {
-        let sub = Subtractor::new(
-            RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
-        );
-        audits.push(audit_derived_pair(
-            &mut reference,
-            &sub.name(),
-            &subtractor_netlist(&sub),
-            &exact_sub,
-        ));
-    }
-    let accurate_wallace = wallace_netlist(
-        &WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).expect("accurate Wallace"),
-    );
-    let mut reference = SharedReference::netlist(&accurate_wallace);
-    for (kind, cols) in WALLACE_CONFIGS {
-        let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
-        audits.push(audit_derived_pair(
-            &mut reference,
-            &mul.name(),
-            &wallace_netlist(&mul),
-            &accurate_wallace,
-        ));
-    }
-    audits
+/// Audits every `(name, approximate)` netlist against one exact netlist,
+/// through one shared reference.
+fn audit_derived_group(
+    exact: &xlac_logic::Netlist,
+    pairs: impl IntoIterator<Item = (String, xlac_logic::Netlist)>,
+) -> Vec<BoundAudit> {
+    let mut reference = SharedReference::netlist(exact);
+    pairs
+        .into_iter()
+        .map(|(name, approx)| audit_derived_pair(&mut reference, &name, &approx, exact))
+        .collect()
 }
 
 /// The shipped 8-bit Wallace configurations: `(cell, approximate columns)`.
@@ -328,6 +252,142 @@ impl AuditedMul {
     }
 }
 
+/// One independent piece of the audit: it builds its own references (or
+/// borrows its worker's `a · b` reference) and returns its audits in
+/// report order.
+enum Unit<'a> {
+    /// The 8-bit ripple adders and the 8-bit GeAr against `a + b`.
+    Adders,
+    /// The subtractors over each approximate ripple core against `|a − b|`.
+    Subtractors,
+    /// The elementary 2×2 blocks against the accurate block.
+    Blocks,
+    /// One 8-bit multiplier: its static audit, then its calculus audit.
+    Mul(&'a AuditedMul),
+    /// One derived bound: `(name, approximate, exact)` netlists.
+    AbsintPair(String, &'a xlac_logic::Netlist, &'a xlac_logic::Netlist),
+    AbsintFullAdders,
+    AbsintMul2x2,
+    /// The 8-bit ripple adders and GeAr against the accurate ripple netlist.
+    AbsintRipple,
+    AbsintSubtractors,
+}
+
+impl Unit<'_> {
+    /// Runs the unit. `product` is the worker's `a · b` reference over
+    /// the interleaved 8-bit operands, built by its first multiplier.
+    fn audit(&self, product: &mut Option<SharedReference>) -> Vec<BoundAudit> {
+        use xlac_adders::hw::{gear_netlist, ripple_netlist, subtractor_netlist};
+        match self {
+            // Ripple adders: 8-bit, 4 approximate LSB cells, all five
+            // Table III approximate full adders; then the one GeAr
+            // geometry with ≤ 16 input bits, plain (uncorrected) addition
+            // — exactly what the static bound covers. Exact reference:
+            // a + b with carry-out.
+            Unit::Adders => {
+                let mut sum =
+                    SharedReference::two_operand(8, |bdd, a, b| twins::add_exact(bdd, a, b, FALSE));
+                let mut audits: Vec<BoundAudit> = FullAdderKind::APPROXIMATE
+                    .into_iter()
+                    .map(|kind| {
+                        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
+                            .expect("shipped configuration");
+                        let exact = sum.metrics(|bdd, a, b| twins::ripple_adder(bdd, &rca, a, b));
+                        BoundAudit::new(rca.name(), &components::ripple_adder_bound(&rca), &exact)
+                    })
+                    .collect();
+                let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
+                let exact = sum.metrics(|bdd, a, b| twins::gear_adder(bdd, &gear, a, b, 0));
+                let bound = components::gear_adder_bound(&gear);
+                audits.push(BoundAudit::new(gear.name(), &bound, &exact));
+                audits
+            }
+            // Exact reference: the same datapath built on an accurate
+            // adder, i.e. |a − b|.
+            Unit::Subtractors => {
+                let exact_sub = Subtractor::new(RippleCarryAdder::accurate(8));
+                let mut difference = SharedReference::two_operand(8, |bdd, a, b| {
+                    twins::subtractor(bdd, &exact_sub, a, b).0
+                });
+                FullAdderKind::APPROXIMATE
+                    .into_iter()
+                    .map(|kind| {
+                        let sub = Subtractor::new(
+                            RippleCarryAdder::with_approx_lsbs(8, kind, 4)
+                                .expect("shipped configuration"),
+                        );
+                        let exact =
+                            difference.metrics(|bdd, a, b| twins::subtractor(bdd, &sub, a, b).0);
+                        BoundAudit::new(sub.name(), &components::subtractor_bound(&sub), &exact)
+                    })
+                    .collect()
+            }
+            // Elementary 2×2 blocks (Fig. 5): 4 primary inputs.
+            Unit::Blocks => {
+                let mut block_product = SharedReference::two_operand(2, |bdd, a, b| {
+                    twins::mul2x2(bdd, Mul2x2Kind::Accurate, a[0], a[1], b[0], b[1]).to_vec()
+                });
+                Mul2x2Kind::ALL
+                    .into_iter()
+                    .map(|kind| {
+                        let exact = block_product.metrics(|bdd, a, b| {
+                            twins::mul2x2(bdd, kind, a[0], a[1], b[0], b[1]).to_vec()
+                        });
+                        let name = format!("mul2x2_{kind}");
+                        BoundAudit::new(name, &components::mul2x2_bound(kind), &exact)
+                    })
+                    .collect()
+            }
+            Unit::Mul(m) => {
+                let product =
+                    product.get_or_insert_with(|| SharedReference::two_operand(8, twins::mul_exact));
+                let exact = product.metrics(|bdd, a, b| m.twin(bdd, a, b));
+                vec![
+                    BoundAudit::new(m.name(), &m.static_bound(), &exact),
+                    BoundAudit::new(format!("calculus:{}", m.name()), &m.calculus_bound(), &exact),
+                ]
+            }
+            Unit::AbsintPair(name, approx, exact) => {
+                vec![audit_derived_pair(&mut SharedReference::netlist(exact), name, approx, exact)]
+            }
+            Unit::AbsintFullAdders => audit_derived_group(
+                &FullAdderKind::Accurate.structural_netlist(),
+                FullAdderKind::APPROXIMATE
+                    .map(|kind| (kind.to_string(), kind.structural_netlist())),
+            ),
+            Unit::AbsintMul2x2 => audit_derived_group(
+                &Mul2x2Kind::Accurate.netlist(),
+                Mul2x2Kind::ALL
+                    .into_iter()
+                    .filter(|&kind| kind != Mul2x2Kind::Accurate)
+                    .map(|kind| (format!("mul2x2_{kind}"), kind.netlist())),
+            ),
+            Unit::AbsintRipple => {
+                let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
+                let ripple = FullAdderKind::APPROXIMATE.map(|kind| {
+                    let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
+                        .expect("shipped configuration");
+                    (rca.name(), ripple_netlist(&rca))
+                });
+                audit_derived_group(
+                    &ripple_netlist(&RippleCarryAdder::accurate(8)),
+                    ripple.into_iter().chain([(gear.name(), gear_netlist(&gear))]),
+                )
+            }
+            Unit::AbsintSubtractors => audit_derived_group(
+                &subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8))),
+                FullAdderKind::APPROXIMATE.map(|kind| {
+                    let sub = Subtractor::new(
+                        RippleCarryAdder::with_approx_lsbs(8, kind, 4)
+                            .expect("shipped configuration"),
+                    );
+                    (sub.name(), subtractor_netlist(&sub))
+                }),
+            ),
+        }
+    }
+}
+
 /// Runs the full audit: every shipped configuration whose operand width
 /// admits exact analysis (8-bit-and-under datapaths, plus the 2×2
 /// elementary blocks). The larger GeAr geometries (22–32 input bits)
@@ -335,80 +395,65 @@ impl AuditedMul {
 ///
 /// Each datapath's exact metrics are computed once, against a reference
 /// built once for every datapath that shares it, and checked against
-/// every bound that covers the datapath.
+/// every bound that covers the datapath. The datapath groups and the
+/// single multipliers are independent units, fanned out on
+/// [`xlac_sim::default_threads`] workers ([`xlac_sim::fan_out`]); each
+/// worker builds its own `a · b` reference. Exact metrics do not depend
+/// on the manager they were computed in, so the report is the same for
+/// any worker count.
 #[must_use]
 pub fn audit_bounds() -> Vec<BoundAudit> {
-    let mut audits = Vec::new();
-
-    // Ripple adders: 8-bit, 4 approximate LSB cells, all five Table III
-    // approximate full adders. Exact reference: a + b with carry-out.
-    let mut sum = SharedReference::two_operand(8, |bdd, a, b| twins::add_exact(bdd, a, b, FALSE));
-    for kind in FullAdderKind::APPROXIMATE {
-        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
-            .expect("shipped configuration");
-        let exact = sum.metrics(|bdd, a, b| twins::ripple_adder(bdd, &rca, a, b));
-        audits.push(BoundAudit::new(rca.name(), &components::ripple_adder_bound(&rca), &exact));
-    }
-
-    // The one GeAr geometry with ≤ 16 input bits. Plain (uncorrected)
-    // addition — exactly what the static bound covers.
-    let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
-    let exact = sum.metrics(|bdd, a, b| twins::gear_adder(bdd, &gear, a, b, 0));
-    audits.push(BoundAudit::new(gear.name(), &components::gear_adder_bound(&gear), &exact));
-
-    // Subtractors over each approximate ripple core. Exact reference:
-    // the same datapath built on an accurate adder, i.e. |a − b|.
-    let exact_sub = Subtractor::new(RippleCarryAdder::accurate(8));
-    let mut difference =
-        SharedReference::two_operand(8, |bdd, a, b| twins::subtractor(bdd, &exact_sub, a, b).0);
-    for kind in FullAdderKind::APPROXIMATE {
-        let sub = Subtractor::new(
-            RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
-        );
-        let exact = difference.metrics(|bdd, a, b| twins::subtractor(bdd, &sub, a, b).0);
-        audits.push(BoundAudit::new(sub.name(), &components::subtractor_bound(&sub), &exact));
-    }
-
-    // Elementary 2×2 blocks (Fig. 5): 4 primary inputs.
-    let mut block_product = SharedReference::two_operand(2, |bdd, a, b| {
-        twins::mul2x2(bdd, Mul2x2Kind::Accurate, a[0], a[1], b[0], b[1]).to_vec()
+    use xlac_multipliers::hw::wallace_netlist;
+    let roster = AuditedMul::roster();
+    let descriptors = xlac_adders::approx_cell_descriptors();
+    let wallace = WALLACE_CONFIGS.map(|(kind, cols)| {
+        let m = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
+        (m.name(), wallace_netlist(&m))
     });
-    for kind in Mul2x2Kind::ALL {
-        let exact = block_product
-            .metrics(|bdd, a, b| twins::mul2x2(bdd, kind, a[0], a[1], b[0], b[1]).to_vec());
-        let name = format!("mul2x2_{kind}");
-        audits.push(BoundAudit::new(name, &components::mul2x2_bound(kind), &exact));
-    }
+    let accurate_wallace = wallace_netlist(
+        &WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).expect("accurate Wallace"),
+    );
+
+    // Report order: the adder, subtractor and block groups, then one unit
+    // per multiplier, then the abstract-interpretation sweep — the
+    // entries `scripts/ci.sh`'s `absint_gate` step parses out of the
+    // `--exact --json` report.
+    let mut units = vec![Unit::Adders, Unit::Subtractors, Unit::Blocks];
+    units.extend(roster.iter().map(Unit::Mul));
+    units.extend(descriptors.iter().map(|d| {
+        Unit::AbsintPair(format!("cell/{}", d.name()), d.netlist(), d.reference_netlist())
+    }));
+    units.extend([
+        Unit::AbsintFullAdders,
+        Unit::AbsintMul2x2,
+        Unit::AbsintRipple,
+        Unit::AbsintSubtractors,
+    ]);
+    // The Wallace pairs are the longest absint audits: one unit each.
+    units.extend(wallace.iter().map(|(name, approx)| {
+        Unit::AbsintPair(name.clone(), approx, &accurate_wallace)
+    }));
+
+    let mut results =
+        fan_out(units.len(), 0, || None, |product, i| units[i].audit(product)).into_iter();
+    let mut audits: Vec<BoundAudit> = results.by_ref().take(3).flatten().collect();
 
     // 8-bit recursive, Wallace and truncated multipliers against their
-    // static bounds.
-    let mut product = SharedReference::two_operand(8, twins::mul_exact);
-    let muls: Vec<(AuditedMul, ExactMetrics)> = AuditedMul::roster()
-        .into_iter()
-        .map(|m| {
-            let exact = product.metrics(|bdd, a, b| m.twin(bdd, a, b));
-            (m, exact)
-        })
-        .collect();
-    for (m, exact) in &muls {
-        audits.push(BoundAudit::new(m.name(), &m.static_bound(), exact));
-    }
+    // static bounds, then the compositional error calculus' certified
+    // envelopes regressed against the same monolithic metrics. For the
+    // Wallace and truncated families the calculus certifies the exact
+    // distribution, so the envelope must match the monolithic proof with
+    // zero WCE slack; the recursive intervals must contain it. Wallace
+    // and truncated come first among the calculus audits, then recursive.
+    let muls: Vec<Vec<BoundAudit>> = results.by_ref().take(roster.len()).collect();
+    audits.extend(muls.iter().map(|pair| pair[0].clone()));
+    let (recursive, rest): (Vec<_>, Vec<_>) = roster
+        .iter()
+        .zip(&muls)
+        .partition(|(m, _)| matches!(m, AuditedMul::Recursive(_)));
+    audits.extend(rest.into_iter().chain(recursive).map(|(_, pair)| pair[1].clone()));
 
-    // The compositional error calculus' certified envelopes, regressed
-    // against the same monolithic metrics. For the Wallace and truncated
-    // families the calculus certifies the exact distribution, so the
-    // envelope must match the monolithic proof with zero WCE slack; the
-    // recursive intervals must contain it. Wallace and truncated come
-    // first here, then recursive.
-    let (recursive, rest): (Vec<_>, Vec<_>) =
-        muls.iter().partition(|(m, _)| matches!(m, AuditedMul::Recursive(_)));
-    for (m, exact) in rest.into_iter().chain(recursive) {
-        let name = format!("calculus:{}", m.name());
-        audits.push(BoundAudit::new(name, &m.calculus_bound(), exact));
-    }
-
-    audits.extend(absint_audits());
-
+    audits.extend(results.flatten());
     audits
 }
 
@@ -546,6 +591,20 @@ mod tests {
             // Field-by-field equality, the worst-case witness included.
             assert_eq!(shared, fresh, "{}", m.name());
         }
+    }
+
+    #[test]
+    fn multiplier_audits_are_equal_at_one_and_three_workers() {
+        // At three workers each worker builds its own `a · b` reference
+        // and sees a different share of the roster.
+        let roster = AuditedMul::roster();
+        let audits = |threads| {
+            let per_mul = fan_out(roster.len(), threads, || None, |product, i| {
+                Unit::Mul(&roster[i]).audit(product)
+            });
+            audits_to_json(&per_mul.concat())
+        };
+        assert_eq!(audits(1), audits(3));
     }
 
     #[test]

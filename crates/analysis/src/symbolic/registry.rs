@@ -19,7 +19,10 @@
 //!
 //! [`prove_all`] runs the whole registry; one [`ProofReport`] per module
 //! records the representations compared, the method, the verdict and the
-//! engine statistics (live node count, ITE memo hit rate).
+//! engine statistics (live node count, ITE memo hit rate). Every
+//! obligation builds its own BDD manager, so the registry fans out one
+//! obligation per work item ([`xlac_sim::fan_out_costliest_first`]) and
+//! the reports come back in registry order.
 
 use super::bdd::{Bdd, Ref};
 use super::compile::{compile_netlist, compile_raw, compile_truth_table, interleaved_operand_vars};
@@ -34,6 +37,7 @@ use xlac_adders::{
 use xlac_core::rng::{Rng, Xoshiro256StarStar};
 use xlac_logic::TruthTable;
 use xlac_obs::{obs_count, obs_gauge, obs_span};
+use xlac_sim::fan_out_costliest_first;
 use xlac_multipliers::{
     ConfigurableMul2x2, Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode,
     TruncatedMultiplier, WallaceMultiplier,
@@ -112,23 +116,106 @@ pub fn proofs_to_json(reports: &[ProofReport]) -> String {
 }
 
 /// Runs every obligation in the registry against the given `hdl/`
-/// directory.
+/// directory, one obligation per work item on
+/// [`xlac_sim::default_threads`] workers. The reports are in registry
+/// order and equal for any worker count.
 ///
 /// # Errors
 ///
 /// Returns an error when an `hdl/` file is missing or unparseable — a
-/// broken export must fail the gate as loudly as a refuted proof.
+/// broken export must fail the gate as loudly as a refuted proof. When
+/// several are, the first in registry order is returned.
 pub fn prove_all(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+    prove_all_on(hdl_dir, 0)
+}
+
+/// [`prove_all`] on `threads` workers (`0` → the default).
+pub(crate) fn prove_all_on(hdl_dir: &Path, threads: usize) -> Result<Vec<ProofReport>, String> {
     let _span = obs_span!("analysis.prove_all");
-    let mut reports = Vec::new();
-    reports.extend(full_adder_reports(hdl_dir)?);
-    reports.extend(descriptor_reports(hdl_dir)?);
-    reports.extend(mul2x2_reports(hdl_dir)?);
-    reports.extend(configurable_mul_reports(hdl_dir)?);
-    reports.extend(ripple_reports(hdl_dir)?);
-    reports.extend(gear_reports(hdl_dir)?);
-    reports.extend(composed_multiplier_reports());
+    let obligations = Obligation::registry();
+    let costs: Vec<u32> = obligations.iter().map(Obligation::cost).collect();
+    let reports =
+        fan_out_costliest_first(&costs, threads, || (), |(), i| obligations[i].prove(hdl_dir))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+    set_engine_gauges(&reports);
     Ok(reports)
+}
+
+/// One shipped-module proof obligation, in registry order.
+enum Obligation {
+    FullAdder(FullAdderKind),
+    Descriptor(Box<xlac_adders::UnitDescriptor>),
+    Mul2x2(Mul2x2Kind),
+    ConfigurableMul(Mul2x2Kind),
+    Ripple(FullAdderKind),
+    /// A GeAr geometry `(n, r, p)`.
+    Gear(usize, usize, usize),
+    Composed(Composed),
+}
+
+/// The composed datapaths proven by exhaustive agreement.
+#[derive(Clone, Copy)]
+enum Composed {
+    Recursive,
+    Wallace,
+    Truncated,
+    Subtractor,
+}
+
+impl Obligation {
+    /// The whole registry, in report order.
+    fn registry() -> Vec<Obligation> {
+        let mut out: Vec<Obligation> =
+            FullAdderKind::ALL.into_iter().map(Obligation::FullAdder).collect();
+        out.extend(
+            approx_cell_descriptors().into_iter().map(|d| Obligation::Descriptor(Box::new(d))),
+        );
+        out.extend(Mul2x2Kind::ALL.into_iter().map(Obligation::Mul2x2));
+        out.extend([Mul2x2Kind::ApxSoA, Mul2x2Kind::ApxOur].map(Obligation::ConfigurableMul));
+        out.extend(FullAdderKind::APPROXIMATE.into_iter().map(Obligation::Ripple));
+        out.extend([(11, 1, 9), (12, 4, 4), (16, 2, 6)].map(|(n, r, p)| Obligation::Gear(n, r, p)));
+        out.extend(
+            [Composed::Recursive, Composed::Wallace, Composed::Truncated, Composed::Subtractor]
+                .map(Obligation::Composed),
+        );
+        out
+    }
+
+    /// Rough relative run time, to start the long obligations first: the
+    /// Wallace twin's exhaustive leg is the longest, then the other
+    /// 16-input exhaustive and the GeAr sampled legs.
+    fn cost(&self) -> u32 {
+        match self {
+            Obligation::Composed(Composed::Wallace) => 8,
+            Obligation::Composed(_) | Obligation::Gear(..) => 3,
+            Obligation::Ripple(_) => 1,
+            Obligation::Descriptor(d) if d.table().n_inputs() > 8 => 1,
+            _ => 0,
+        }
+    }
+
+    fn prove(&self, hdl_dir: &Path) -> Result<ProofReport, String> {
+        match self {
+            Obligation::FullAdder(kind) => full_adder_report(hdl_dir, *kind),
+            Obligation::Descriptor(d) => descriptor_report(hdl_dir, d),
+            Obligation::Mul2x2(kind) => mul2x2_report(hdl_dir, *kind),
+            Obligation::ConfigurableMul(core) => configurable_mul_report(hdl_dir, *core),
+            Obligation::Ripple(kind) => ripple_report(hdl_dir, *kind),
+            Obligation::Gear(n, r, p) => gear_report(hdl_dir, *n, *r, *p),
+            Obligation::Composed(which) => Ok(composed_multiplier_report(*which)),
+        }
+    }
+}
+
+/// Sets the engine gauges from the last report — a function of the
+/// ordered reports, so the value does not depend on which worker
+/// finished last.
+fn set_engine_gauges(reports: &[ProofReport]) {
+    if let Some(last) = reports.last() {
+        obs_gauge!("analysis.bdd_nodes", last.bdd_nodes as f64);
+        obs_gauge!("analysis.memo_hit_rate", last.memo_hit_rate);
+    }
 }
 
 /// Every netlist the registry proves `hdl/*.v` exports against, with its
@@ -250,8 +337,6 @@ fn report(
     if !matches!(status, ProofStatus::Proven) {
         obs_count!("analysis.refuted", 1);
     }
-    obs_gauge!("analysis.bdd_nodes", bdd.stats().nodes as f64);
-    obs_gauge!("analysis.memo_hit_rate", bdd.stats().hit_rate());
     ProofReport {
         name,
         n_inputs,
@@ -287,30 +372,26 @@ fn table_from_planes(
     TruthTable::from_rows(n_inputs, n_outputs, rows).expect("recovered table is well-formed")
 }
 
-fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+fn full_adder_report(hdl_dir: &Path, kind: FullAdderKind) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.full_adders");
-    let mut reports = Vec::new();
-    for kind in FullAdderKind::ALL {
-        let file = format!("{}.v", kind.to_string().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
-        let x64_table = table_from_planes(3, 2, |p| {
-            let (s, c) = kind.eval_x64(p[0], p[1], p[2]);
-            vec![s, c]
-        });
+    let file = format!("{}.v", kind.to_string().to_lowercase());
+    let raw = load_hdl(hdl_dir, &file)?;
+    let x64_table = table_from_planes(3, 2, |p| {
+        let (s, c) = kind.eval_x64(p[0], p[1], p[2]);
+        vec![s, c]
+    });
 
-        let mut bdd = Bdd::new();
-        let vars: Vec<Ref> = (0..3).map(|i| bdd.var(i)).collect();
-        let family = vec![
-            ("truth-table".to_string(), compile_truth_table(&mut bdd, &kind.truth_table(), &vars)),
-            ("structural netlist".to_string(), compile_netlist(&mut bdd, &kind.structural_netlist(), &vars)),
-            ("synthesized netlist".to_string(), compile_netlist(&mut bdd, &kind.synthesized_netlist(), &vars)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-            ("eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
-        ];
-        let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, kind.to_string(), 3, "bdd", &family, status));
-    }
-    Ok(reports)
+    let mut bdd = Bdd::new();
+    let vars: Vec<Ref> = (0..3).map(|i| bdd.var(i)).collect();
+    let family = vec![
+        ("truth-table".to_string(), compile_truth_table(&mut bdd, &kind.truth_table(), &vars)),
+        ("structural netlist".to_string(), compile_netlist(&mut bdd, &kind.structural_netlist(), &vars)),
+        ("synthesized netlist".to_string(), compile_netlist(&mut bdd, &kind.synthesized_netlist(), &vars)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+        ("eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
+    ];
+    let status = prove_family(&mut bdd, &family);
+    Ok(report(&bdd, kind.to_string(), 3, "bdd", &family, status))
 }
 
 /// The six-way descriptor contract, symbolically: the declared truth
@@ -319,123 +400,102 @@ fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
 /// proven to be the same function. None of these representations were
 /// written by hand — the proof certifies the generators, not per-cell
 /// code.
-fn descriptor_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+fn descriptor_report(
+    hdl_dir: &Path,
+    d: &xlac_adders::UnitDescriptor,
+) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.descriptors");
-    let mut reports = Vec::new();
-    for d in approx_cell_descriptors() {
-        let file = format!("{}.v", d.name().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
-        let (n, k) = (d.table().n_inputs(), d.table().n_outputs());
-        if n <= 8 {
-            // Narrow cells: the whole four-way family as one BDD proof.
-            let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
-            let mut bdd = Bdd::new();
-            let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
-            let family = vec![
-                ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)),
-                ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
-                (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-                (
-                    "generated eval_x64".to_string(),
-                    compile_truth_table(&mut bdd, &x64_table, &vars),
-                ),
-            ];
-            let status = prove_family(&mut bdd, &family);
-            reports.push(report(&bdd, format!("cell/{}", d.name()), n, "bdd", &family, status));
-        } else {
-            // Word-level descriptors (the 16-input adders): Shannon-
-            // expanding a 2^16-row table into a BDD is the one expensive
-            // leg, so the table and eval_x64 legs are closed by full
-            // enumeration (an exhaustive check over the whole input space
-            // *is* a proof) while the netlist ≡ HDL leg stays symbolic.
-            let mut bdd = Bdd::new();
-            let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
-            let family = vec![
-                ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
-                (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-            ];
-            let mut status = prove_family(&mut bdd, &family);
-            if status == ProofStatus::Proven {
-                let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
-                let net_table =
-                    table_from_planes(n, k, |p| d.netlist().eval_words(p));
-                for x in 0..(1u64 << n) {
-                    let want = d.table().row(x);
-                    if net_table.row(x) != want {
-                        status = ProofStatus::Refuted(format!(
-                            "generated netlist disagrees with the truth table at input {x:#b}"
-                        ));
-                        break;
-                    }
-                    if x64_table.row(x) != want {
-                        status = ProofStatus::Refuted(format!(
-                            "generated eval_x64 disagrees with the truth table at input {x:#b}"
-                        ));
-                        break;
-                    }
-                }
+    let file = format!("{}.v", d.name().to_lowercase());
+    let raw = load_hdl(hdl_dir, &file)?;
+    let (n, k) = (d.table().n_inputs(), d.table().n_outputs());
+    if n <= 8 {
+        // Narrow cells: the whole four-way family as one BDD proof.
+        let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
+        let mut bdd = Bdd::new();
+        let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
+        let family = vec![
+            ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)),
+            ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
+            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+            (
+                "generated eval_x64".to_string(),
+                compile_truth_table(&mut bdd, &x64_table, &vars),
+            ),
+        ];
+        let status = prove_family(&mut bdd, &family);
+        return Ok(report(&bdd, format!("cell/{}", d.name()), n, "bdd", &family, status));
+    }
+    // Word-level descriptors (the 16-input adders): Shannon-expanding a
+    // 2^16-row table into a BDD is the one expensive leg, so the table
+    // and eval_x64 legs are closed by full enumeration (an exhaustive
+    // check over the whole input space *is* a proof) while the netlist ≡
+    // HDL leg stays symbolic.
+    let mut bdd = Bdd::new();
+    let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
+    let family = vec![
+        ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+    ];
+    let mut status = prove_family(&mut bdd, &family);
+    if status == ProofStatus::Proven {
+        let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
+        let net_table = table_from_planes(n, k, |p| d.netlist().eval_words(p));
+        for x in 0..(1u64 << n) {
+            let want = d.table().row(x);
+            if net_table.row(x) != want {
+                status = ProofStatus::Refuted(format!(
+                    "generated netlist disagrees with the truth table at input {x:#b}"
+                ));
+                break;
             }
-            let mut family_labels = family;
-            family_labels
-                .push((format!("truth-table (2^{n} exhaustive)"), Vec::new()));
-            family_labels
-                .push((format!("generated eval_x64 (2^{n} exhaustive)"), Vec::new()));
-            reports.push(report(
-                &bdd,
-                format!("cell/{}", d.name()),
-                n,
-                "bdd+exhaustive",
-                &family_labels,
-                status,
-            ));
+            if x64_table.row(x) != want {
+                status = ProofStatus::Refuted(format!(
+                    "generated eval_x64 disagrees with the truth table at input {x:#b}"
+                ));
+                break;
+            }
         }
     }
-    Ok(reports)
+    let mut family_labels = family;
+    family_labels.push((format!("truth-table (2^{n} exhaustive)"), Vec::new()));
+    family_labels.push((format!("generated eval_x64 (2^{n} exhaustive)"), Vec::new()));
+    Ok(report(&bdd, format!("cell/{}", d.name()), n, "bdd+exhaustive", &family_labels, status))
 }
 
-fn mul2x2_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+fn mul2x2_report(hdl_dir: &Path, kind: Mul2x2Kind) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.mul2x2");
-    let mut reports = Vec::new();
-    for kind in Mul2x2Kind::ALL {
-        let file = format!("{}.v", kind.to_string().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
-        let x64_table =
-            table_from_planes(4, 4, |p| kind.mul_x64(p[0], p[1], p[2], p[3]).to_vec());
+    let file = format!("{}.v", kind.to_string().to_lowercase());
+    let raw = load_hdl(hdl_dir, &file)?;
+    let x64_table = table_from_planes(4, 4, |p| kind.mul_x64(p[0], p[1], p[2], p[3]).to_vec());
 
-        let mut bdd = Bdd::new();
-        let vars: Vec<Ref> = (0..4).map(|i| bdd.var(i)).collect();
-        let family = vec![
-            ("truth-table".to_string(), compile_truth_table(&mut bdd, &kind.truth_table(), &vars)),
-            ("netlist".to_string(), compile_netlist(&mut bdd, &kind.netlist(), &vars)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-            ("mul_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
-        ];
-        let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, kind.to_string(), 4, "bdd", &family, status));
-    }
-    Ok(reports)
+    let mut bdd = Bdd::new();
+    let vars: Vec<Ref> = (0..4).map(|i| bdd.var(i)).collect();
+    let family = vec![
+        ("truth-table".to_string(), compile_truth_table(&mut bdd, &kind.truth_table(), &vars)),
+        ("netlist".to_string(), compile_netlist(&mut bdd, &kind.netlist(), &vars)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+        ("mul_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
+    ];
+    let status = prove_family(&mut bdd, &family);
+    Ok(report(&bdd, kind.to_string(), 4, "bdd", &family, status))
 }
 
-fn configurable_mul_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+fn configurable_mul_report(hdl_dir: &Path, core: Mul2x2Kind) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.configurable_mul");
-    let mut reports = Vec::new();
-    for core in [Mul2x2Kind::ApxSoA, Mul2x2Kind::ApxOur] {
-        let cfg = ConfigurableMul2x2::new(core);
-        let file = format!("{}.v", cfg.name().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
+    let cfg = ConfigurableMul2x2::new(core);
+    let file = format!("{}.v", cfg.name().to_lowercase());
+    let raw = load_hdl(hdl_dir, &file)?;
 
-        let mut bdd = Bdd::new();
-        let vars: Vec<Ref> = (0..5).map(|i| bdd.var(i)).collect();
-        let behavioural = twins::configurable_mul2x2_table(&cfg);
-        let family = vec![
-            ("behavioural model".to_string(), compile_truth_table(&mut bdd, &behavioural, &vars)),
-            ("netlist".to_string(), compile_netlist(&mut bdd, &cfg.netlist(), &vars)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-        ];
-        let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, cfg.name(), 5, "bdd", &family, status));
-    }
-    Ok(reports)
+    let mut bdd = Bdd::new();
+    let vars: Vec<Ref> = (0..5).map(|i| bdd.var(i)).collect();
+    let behavioural = twins::configurable_mul2x2_table(&cfg);
+    let family = vec![
+        ("behavioural model".to_string(), compile_truth_table(&mut bdd, &behavioural, &vars)),
+        ("netlist".to_string(), compile_netlist(&mut bdd, &cfg.netlist(), &vars)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+    ];
+    let status = prove_family(&mut bdd, &family);
+    Ok(report(&bdd, cfg.name(), 5, "bdd", &family, status))
 }
 
 /// Exhaustively compares a twin's BDD evaluation, a scalar model and a
@@ -491,78 +551,69 @@ fn interleave(a: u64, b: u64, width: usize) -> u64 {
     })
 }
 
-fn ripple_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+fn ripple_report(hdl_dir: &Path, kind: FullAdderKind) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.ripple_adders");
-    let mut reports = Vec::new();
-    for kind in FullAdderKind::APPROXIMATE {
-        let file = format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
-        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
-            .expect("8-bit adder with 4 approximate LSBs is valid");
+    let file = format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase());
+    let raw = load_hdl(hdl_dir, &file)?;
+    let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
+        .expect("8-bit adder with 4 approximate LSBs is valid");
 
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
-        let family = vec![
-            ("behavioural twin".to_string(), twins::ripple_adder(&mut bdd, &rca, &a, &b)),
-            ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &ripple_netlist(&rca), &ports)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
-        ];
-        let mut status = prove_family(&mut bdd, &family);
-        if status == ProofStatus::Proven {
-            // Close the loop to the scalar and bit-sliced models by full
-            // enumeration of the 16-bit input space.
-            let mut out = vec![0u64; 9];
-            status = exhaustive_agreement(
-                &bdd,
-                &family[0].1,
-                8,
-                |x, y| rca.add(x, y),
-                |ap, bp| {
-                    rca.add_x64_into(ap, bp, &mut out);
-                    out.clone()
-                },
-            );
-        }
-        let mut family_labels = family;
-        family_labels.push(("add_x64 (2^16 exhaustive)".to_string(), Vec::new()));
-        family_labels.push(("scalar model (2^16 exhaustive)".to_string(), Vec::new()));
-        reports.push(report(&bdd, rca.name(), 16, "bdd+exhaustive", &family_labels, status));
+    let mut bdd = Bdd::new();
+    let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+    let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
+    let family = vec![
+        ("behavioural twin".to_string(), twins::ripple_adder(&mut bdd, &rca, &a, &b)),
+        ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &ripple_netlist(&rca), &ports)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
+    ];
+    let mut status = prove_family(&mut bdd, &family);
+    if status == ProofStatus::Proven {
+        // Close the loop to the scalar and bit-sliced models by full
+        // enumeration of the 16-bit input space.
+        let mut out = vec![0u64; 9];
+        status = exhaustive_agreement(
+            &bdd,
+            &family[0].1,
+            8,
+            |x, y| rca.add(x, y),
+            |ap, bp| {
+                rca.add_x64_into(ap, bp, &mut out);
+                out.clone()
+            },
+        );
     }
-    Ok(reports)
+    let mut family_labels = family;
+    family_labels.push(("add_x64 (2^16 exhaustive)".to_string(), Vec::new()));
+    family_labels.push(("scalar model (2^16 exhaustive)".to_string(), Vec::new()));
+    Ok(report(&bdd, rca.name(), 16, "bdd+exhaustive", &family_labels, status))
 }
 
-fn gear_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+/// The GeAr geometry `(n, r, p)` against its `hdl/gear_n{n}_r{r}_p{p}.v`
+/// export.
+fn gear_report(hdl_dir: &Path, n: usize, r: usize, p: usize) -> Result<ProofReport, String> {
     let _span = obs_span!("analysis.gear_adders");
-    let mut reports = Vec::new();
-    for (n, r, p, file) in [
-        (11usize, 1usize, 9usize, "gear_n11_r1_p9.v"),
-        (12, 4, 4, "gear_n12_r4_p4.v"),
-        (16, 2, 6, "gear_n16_r2_p6.v"),
-    ] {
-        let raw = load_hdl(hdl_dir, file)?;
-        let gear = GeArAdder::new(n, r, p).expect("shipped GeAr configs are valid");
+    let file = format!("gear_n{n}_r{r}_p{p}.v");
+    let raw = load_hdl(hdl_dir, &file)?;
+    let gear = GeArAdder::new(n, r, p).expect("shipped GeAr configs are valid");
 
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, n);
-        let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
-        let family = vec![
-            ("behavioural twin".to_string(), twins::gear_adder(&mut bdd, &gear, &a, &b, 0)),
-            ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &gear_netlist(&gear), &ports)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
-        ];
-        let mut status = prove_family(&mut bdd, &family);
-        if status == ProofStatus::Proven {
-            // 2n > 20 inputs: seeded-vector agreement with the scalar and
-            // bit-sliced models (the symbolic forms above are proven).
-            status = sampled_gear_agreement(&bdd, &family[0].1, &gear);
-        }
-        let mut family_labels = family;
-        family_labels.push((format!("add_x64 ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
-        family_labels.push((format!("scalar model ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
-        reports.push(report(&bdd, gear.name(), 2 * n, "bdd+sampled", &family_labels, status));
+    let mut bdd = Bdd::new();
+    let (a, b) = interleaved_operand_vars(&mut bdd, n);
+    let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
+    let family = vec![
+        ("behavioural twin".to_string(), twins::gear_adder(&mut bdd, &gear, &a, &b, 0)),
+        ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &gear_netlist(&gear), &ports)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
+    ];
+    let mut status = prove_family(&mut bdd, &family);
+    if status == ProofStatus::Proven {
+        // 2n > 20 inputs: seeded-vector agreement with the scalar and
+        // bit-sliced models (the symbolic forms above are proven).
+        status = sampled_gear_agreement(&bdd, &family[0].1, &gear);
     }
-    Ok(reports)
+    let mut family_labels = family;
+    family_labels.push((format!("add_x64 ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
+    family_labels.push((format!("scalar model ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
+    Ok(report(&bdd, gear.name(), 2 * n, "bdd+sampled", &family_labels, status))
 }
 
 fn sampled_gear_agreement(bdd: &Bdd, twin: &[Ref], gear: &GeArAdder) -> ProofStatus {
@@ -606,77 +657,76 @@ fn sampled_gear_agreement(bdd: &Bdd, twin: &[Ref], gear: &GeArAdder) -> ProofSta
     ProofStatus::Proven
 }
 
-fn composed_multiplier_reports() -> Vec<ProofReport> {
+fn composed_multiplier_report(which: Composed) -> ProofReport {
     let _span = obs_span!("analysis.composed_multipliers");
-    let mut reports = Vec::new();
-
-    // Recursive multiplier, paper configuration: ApxMulOur blocks with
-    // approximate summation adders.
-    {
-        let m = RecursiveMultiplier::new(
-            8,
-            Mul2x2Kind::ApxOur,
-            SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 3 },
-        )
-        .expect("valid recursive configuration");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::recursive_multiplier(&mut bdd, 8, m.block(), m.sum_mode(), &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
+    match which {
+        // Recursive multiplier, paper configuration: ApxMulOur blocks with
+        // approximate summation adders.
+        Composed::Recursive => {
+            let m = RecursiveMultiplier::new(
+                8,
+                Mul2x2Kind::ApxOur,
+                SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 3 },
+            )
+            .expect("valid recursive configuration");
+            let mut bdd = Bdd::new();
+            let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+            let twin = twins::recursive_multiplier(&mut bdd, 8, m.block(), m.sum_mode(), &a, &b);
+            let status = exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| {
+                m.mul_x64(ap, bp)
+            });
+            composed_report(&bdd, m.name(), &twin_family(), status)
+        }
+        // Wallace tree with approximate low columns.
+        Composed::Wallace => {
+            let m =
+                WallaceMultiplier::new(8, FullAdderKind::Apx3, 6).expect("valid Wallace config");
+            let mut bdd = Bdd::new();
+            let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+            let twin = twins::wallace_multiplier(&mut bdd, &m, &a, &b);
+            let status = exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| {
+                m.mul_x64(ap, bp)
+            });
+            composed_report(&bdd, m.name(), &twin_family(), status)
+        }
+        // Truncated multiplier with compensation.
+        Composed::Truncated => {
+            let m = TruncatedMultiplier::new(8, 4, true).expect("valid truncated config");
+            let mut bdd = Bdd::new();
+            let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+            let twin = twins::truncated_multiplier(&mut bdd, &m, &a, &b);
+            let status = exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| {
+                m.mul_x64(ap, bp)
+            });
+            composed_report(&bdd, m.name(), &twin_family(), status)
+        }
+        // Subtractor over an approximate ripple datapath (magnitude output).
+        Composed::Subtractor => {
+            let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4)
+                .expect("valid adder config");
+            let sub = Subtractor::new(rca);
+            let mut bdd = Bdd::new();
+            let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+            let (mag, ge) = twins::subtractor(&mut bdd, &sub, &a, &b);
+            let mut twin = mag;
+            twin.push(ge);
+            let status = exhaustive_agreement(
+                &bdd,
+                &twin,
+                8,
+                |x, y| {
+                    let (m, g) = sub.sub(x, y);
+                    m | (u64::from(g) << 8)
+                },
+                |ap, bp| {
+                    let (mut planes, ge_plane) = sub.sub_x64(ap, bp);
+                    planes.push(ge_plane);
+                    planes
+                },
+            );
+            composed_report(&bdd, sub.name(), &twin_family(), status)
+        }
     }
-
-    // Wallace tree with approximate low columns.
-    {
-        let m = WallaceMultiplier::new(8, FullAdderKind::Apx3, 6).expect("valid Wallace config");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::wallace_multiplier(&mut bdd, &m, &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
-    }
-
-    // Truncated multiplier with compensation.
-    {
-        let m = TruncatedMultiplier::new(8, 4, true).expect("valid truncated config");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::truncated_multiplier(&mut bdd, &m, &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
-    }
-
-    // Subtractor over an approximate ripple datapath (magnitude output).
-    {
-        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4)
-            .expect("valid adder config");
-        let sub = Subtractor::new(rca);
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let (mag, ge) = twins::subtractor(&mut bdd, &sub, &a, &b);
-        let mut twin = mag;
-        twin.push(ge);
-        let status = exhaustive_agreement(
-            &bdd,
-            &twin,
-            8,
-            |x, y| {
-                let (m, g) = sub.sub(x, y);
-                m | (u64::from(g) << 8)
-            },
-            |ap, bp| {
-                let (mut planes, ge_plane) = sub.sub_x64(ap, bp);
-                planes.push(ge_plane);
-                planes
-            },
-        );
-        reports.push(composed_report(&bdd, sub.name(), &twin_family(), status));
-    }
-
-    reports
 }
 
 /// Proof obligations for the `xlac-sim` bytecode compiler: every
@@ -756,6 +806,7 @@ pub fn jit_equivalence_sweep() -> (Vec<ProofReport>, super::bdd::BddStats) {
         reports.push(jit_report(&mut bdd, name, &nl, &ports));
         bdd.gc(&[]);
     }
+    set_engine_gauges(&reports);
     (reports, bdd.stats())
 }
 
@@ -790,6 +841,16 @@ fn composed_report(
 mod tests {
     use super::*;
 
+    /// Serializes the tests that record `analysis.*` obs metrics against
+    /// the one that resets and compares them.
+    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Holds [`OBS_LOCK`] in an instrumented build; a no-op otherwise.
+    fn obs_guard() -> Option<std::sync::MutexGuard<'static, ()>> {
+        xlac_obs::enabled()
+            .then(|| OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+    }
+
     fn hdl_dir() -> std::path::PathBuf {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../hdl");
         ensure_registry_hdl(&dir).expect("hdl/ self-heals from the registry");
@@ -798,6 +859,7 @@ mod tests {
 
     #[test]
     fn every_shipped_module_obligation_is_proven() {
+        let _obs = obs_guard();
         let reports = prove_all(&hdl_dir()).expect("hdl/ loads");
         assert!(reports.len() >= 20, "expected the full registry, got {}", reports.len());
         for r in &reports {
@@ -806,7 +868,63 @@ mod tests {
     }
 
     #[test]
+    fn reports_are_equal_at_one_and_three_workers() {
+        let _obs = obs_guard();
+        let dir = hdl_dir();
+        let one = proofs_to_json(&prove_all_on(&dir, 1).expect("hdl/ loads"));
+        let three = proofs_to_json(&prove_all_on(&dir, 3).expect("hdl/ loads"));
+        assert_eq!(one, three);
+    }
+
+    #[test]
+    fn the_first_error_in_registry_order_is_returned() {
+        let _obs = obs_guard();
+        // An empty directory fails every hdl-backed obligation; the error
+        // must name the first file in registry order at any worker count.
+        let empty = std::env::temp_dir().join(format!("xlac-empty-hdl-{}", std::process::id()));
+        std::fs::create_dir_all(&empty).unwrap();
+        for threads in [1, 3] {
+            let err = prove_all_on(&empty, threads).expect_err("no hdl/ files");
+            assert!(err.contains("accufa.v"), "{err}");
+        }
+        let _ = std::fs::remove_dir(&empty);
+    }
+
+    /// The `analysis.*` part of the obs registry: counters, gauges, and
+    /// span names with their counts (span times vary run to run).
+    #[cfg(feature = "obs")]
+    fn analysis_snapshot() -> (Vec<(String, u64)>, Vec<(String, f64)>, Vec<(String, u64)>) {
+        let snap = xlac_obs::snapshot();
+        let ours = |name: &str| name.starts_with("analysis.");
+        (
+            snap.counters.into_iter().filter(|(n, _)| ours(n)).collect(),
+            snap.gauges.into_iter().filter(|(n, _)| ours(n)).collect(),
+            snap.spans.into_iter().filter(|s| ours(&s.name)).map(|s| (s.name, s.count)).collect(),
+        )
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn obs_analysis_snapshot_is_equal_at_one_and_three_workers() {
+        // The registry is process-global: hold every test that records
+        // `analysis.*` metrics off while this one resets and reads it.
+        let _obs = obs_guard();
+        let dir = hdl_dir();
+        let mut snapshots = Vec::new();
+        for threads in [1, 3] {
+            xlac_obs::reset();
+            prove_all_on(&dir, threads).expect("hdl/ loads");
+            snapshots.push(analysis_snapshot());
+        }
+        let (counters, gauges, _) = &snapshots[0];
+        assert!(counters.iter().any(|(n, v)| n == "analysis.proofs" && *v >= 20), "{counters:?}");
+        assert_eq!(gauges.len(), 2, "{gauges:?}");
+        assert_eq!(snapshots[0], snapshots[1]);
+    }
+
+    #[test]
     fn every_jit_compilation_obligation_is_proven() {
+        let _obs = obs_guard();
         let reports = jit_equivalence_reports();
         // Every registry family is represented: 2 netlists per full-adder
         // kind, the 2×2 blocks, the configurables, ripple/GeAr/Wallace/
@@ -820,6 +938,7 @@ mod tests {
 
     #[test]
     fn shared_manager_sweep_keeps_the_peak_bounded() {
+        let _obs = obs_guard();
         let (reports, stats) = jit_equivalence_sweep();
         assert!(reports.iter().all(ProofReport::is_proven));
         // One gc per obligation: the memo and unique table are swept
@@ -838,7 +957,13 @@ mod tests {
 
     #[test]
     fn descriptor_cells_prove_every_generated_representation() {
-        let reports = descriptor_reports(&hdl_dir()).expect("hdl/ loads");
+        let _obs = obs_guard();
+        let dir = hdl_dir();
+        let reports = approx_cell_descriptors()
+            .iter()
+            .map(|d| descriptor_report(&dir, d))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("hdl/ loads");
         assert_eq!(
             reports.len(),
             approx_cell_descriptors().len(),
@@ -886,7 +1011,13 @@ mod tests {
 
     #[test]
     fn proof_json_is_well_formed() {
-        let reports = full_adder_reports(&hdl_dir()).unwrap();
+        let _obs = obs_guard();
+        let dir = hdl_dir();
+        let reports = FullAdderKind::ALL
+            .into_iter()
+            .map(|kind| full_adder_report(&dir, kind))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         let json = proofs_to_json(&reports);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"status\": \"proven\""));

@@ -22,7 +22,7 @@ use xlac_analysis::symbolic::{
     exact_metrics, recursive_calculus, truncated_calculus, twins, wallace_calculus, Bdd,
     ExactMetrics, SiftOptions, FALSE,
 };
-use xlac_bench::{black_box, Harness};
+use xlac_bench::{black_box, run_context, Harness};
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
@@ -162,11 +162,12 @@ fn report_engine_stats() {
         run(&mut bdd);
         let stats = bdd.stats();
         println!(
-            "{{\"name\":\"symbolic_stats/{name}\",\"bdd_nodes\":{},\"ite_lookups\":{},\"ite_hits\":{},\"memo_hit_rate\":{:.4}}}",
+            "{{\"name\":\"symbolic_stats/{name}\",\"bdd_nodes\":{},\"ite_lookups\":{},\"ite_hits\":{},\"memo_hit_rate\":{:.4},{}}}",
             stats.nodes,
             stats.ite_lookups,
             stats.ite_hits,
-            stats.hit_rate()
+            stats.hit_rate(),
+            run_context()
         );
     }
 }
@@ -204,12 +205,13 @@ fn report_sift_stats() {
     roots.extend(twins::mul_exact(&mut bdd, &a, &b));
     let stats = bdd.sift(&roots, &SiftOptions::default());
     println!(
-        "{{\"name\":\"symbolic_sift/wallace8x8_miter\",\"unsifted_nodes\":{},\"sifted_nodes\":{},\"reduction\":{:.2},\"rounds\":{},\"swaps\":{}}}",
+        "{{\"name\":\"symbolic_sift/wallace8x8_miter\",\"unsifted_nodes\":{},\"sifted_nodes\":{},\"reduction\":{:.2},\"rounds\":{},\"swaps\":{},{}}}",
         stats.initial_nodes,
         stats.final_nodes,
         stats.initial_nodes as f64 / stats.final_nodes.max(1) as f64,
         stats.rounds,
-        stats.swaps
+        stats.swaps,
+        run_context()
     );
 }
 

@@ -115,4 +115,11 @@ mod tests {
         assert_eq!(name_of(line), Some("jit_rca8_eval_65536/interpreted"));
         assert_eq!(median_of(line), Some(278_170.0));
     }
+
+    #[test]
+    fn parses_a_line_with_run_context() {
+        let line = r#"{"name":"jit_wallace8_eval_65536/compiled_x8","samples":7,"iters_per_sample":6,"median_ns":9120.0,"mean_ns":9200.0,"min_ns":9000.0,"max_ns":9500.0,"nproc":2,"threads":2,"profile":"release"}"#;
+        assert_eq!(name_of(line), Some("jit_wallace8_eval_65536/compiled_x8"));
+        assert_eq!(median_of(line), Some(9_120.0));
+    }
 }

@@ -164,8 +164,9 @@ fn run(hdl_dir: &str) -> Result<(), String> {
     println!(
         "{{\"name\":\"explore_dist_fronts_w8\",\"units\":{units},\"proofs\":{proofs},\
          \"audits\":{audits},\"distributions\":{},\"configs\":{configs},\
-         \"wall_ms\":{wall_ms:.1}}}",
-        fronts.len()
+         \"wall_ms\":{wall_ms:.1},{}}}",
+        fronts.len(),
+        xlac_bench::run_context()
     );
     eprintln!(
         "library_gate: PASS {units} units, {proofs} proofs, {audits} sound bounds, \

@@ -110,4 +110,14 @@ mod tests {
         let line = r#"{"name":"symbolic_calculus/wallace16x16_apx2_cols8","samples":3,"iters_per_sample":1,"median_ns":140464724.0,"mean_ns":1.0,"min_ns":1.0,"max_ns":1.0}"#;
         assert_eq!(field_of(line, "median_ns"), Some(140_464_724.0));
     }
+
+    #[test]
+    fn parses_lines_with_run_context() {
+        let sift = r#"{"name":"symbolic_sift/wallace8x8_miter","unsifted_nodes":31895,"sifted_nodes":15154,"reduction":2.10,"rounds":3,"swaps":900,"nproc":2,"threads":2,"profile":"release"}"#;
+        assert_eq!(name_of(sift), Some("symbolic_sift/wallace8x8_miter"));
+        assert_eq!(field_of(sift, "swaps"), Some(900.0));
+        let timing = r#"{"name":"symbolic_calculus/wallace16x16_apx2_cols8","samples":3,"iters_per_sample":1,"median_ns":140464724.0,"mean_ns":1.0,"min_ns":1.0,"max_ns":1.0,"nproc":2,"threads":1,"profile":"release"}"#;
+        assert_eq!(field_of(timing, "median_ns"), Some(140_464_724.0));
+        assert_eq!(field_of(timing, "threads"), Some(1.0));
+    }
 }

@@ -9,8 +9,13 @@
 //!
 //! ```text
 //! bench: adders_16bit/ripple_accurate           median      7.91µs  (25 samples × 128 iters)
-//! {"name":"adders_16bit/ripple_accurate","median_ns":7914, ...}
+//! {"name":"adders_16bit/ripple_accurate","median_ns":7914, ...,"nproc":2,"threads":2,"profile":"release"}
 //! ```
+//!
+//! Every line ends with its run context ([`run_context`]): the cores the
+//! machine offers, the worker threads a sweep would use and the build
+//! profile, so a reader can tell why a multi-threaded bench did not
+//! scale.
 //!
 //! Environment knobs:
 //!
@@ -54,8 +59,8 @@ impl BenchResult {
     #[must_use]
     pub fn json_line(&self) -> String {
         format!(
-            "{{\"name\":{:?},\"samples\":{},\"iters_per_sample\":{},\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1}}}",
-            self.name, self.samples, self.iters_per_sample, self.median_ns, self.mean_ns, self.min_ns, self.max_ns
+            "{{\"name\":{:?},\"samples\":{},\"iters_per_sample\":{},\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},{}}}",
+            self.name, self.samples, self.iters_per_sample, self.median_ns, self.mean_ns, self.min_ns, self.max_ns, run_context()
         )
     }
 
@@ -70,6 +75,21 @@ impl BenchResult {
             format!("{:.2}s", ns / 1_000_000_000.0)
         }
     }
+}
+
+/// The run-context fields every bench JSON line carries, without braces:
+/// `"nproc"` (the machine's available parallelism), `"threads"` (the
+/// sweep worker count, [`xlac_sim::default_threads`], which
+/// `XLAC_SIM_THREADS` overrides) and `"profile"` (`"release"` or
+/// `"debug"`).
+#[must_use]
+pub fn run_context() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    format!(
+        "\"nproc\":{nproc},\"threads\":{},\"profile\":\"{profile}\"",
+        xlac_sim::default_threads()
+    )
 }
 
 /// A named group of benchmarks sharing the harness configuration.
@@ -221,6 +241,9 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"name\":\"g/f\""));
         assert!(j.contains("\"median_ns\":1.5"));
+        assert!(j.contains(&format!(",{}}}", run_context())), "{j}");
+        assert!(j.contains("\"nproc\":") && j.contains("\"threads\":"));
+        assert!(j.contains("\"profile\":\"release\"") || j.contains("\"profile\":\"debug\""));
     }
 
     #[test]

@@ -29,5 +29,5 @@
 pub mod harness;
 pub mod report;
 
-pub use harness::{black_box, BenchResult, Harness};
+pub use harness::{black_box, run_context, BenchResult, Harness};
 pub use report::{check, header, row, section};

@@ -46,7 +46,7 @@ use xlac_logic::netlist::Netlist;
 use xlac_multipliers::hw::wallace_netlist;
 use xlac_multipliers::{CompressKnob, CompressorMultiplier, Multiplier, WallaceMultiplier};
 use xlac_obs::{obs_count, obs_span};
-use xlac_sim::{compiled_pair_sweep, CompiledProgram, SweepOptions};
+use xlac_sim::{compiled_pair_sweep, fan_out, CompiledProgram, SweepOptions};
 
 /// Seed for the deterministic switching-activity power estimates of the
 /// word-adder descriptors (the multiplier families carry their own).
@@ -259,10 +259,17 @@ pub fn exact_config_metrics(
     config: &DistConfig,
     dist: InputDistribution,
 ) -> Result<DistExactMetrics> {
+    table_metrics(config, &response_table(&config.netlist, 2 * config.width()), dist)
+}
+
+/// [`exact_config_metrics`] from the configuration's response table.
+fn table_metrics(
+    config: &DistConfig,
+    table: &[u64],
+    dist: InputDistribution,
+) -> Result<DistExactMetrics> {
     let w = config.width();
-    let table = response_table(&config.netlist, 2 * w);
-    let exact = config.exact_fn();
-    exact_pair_metrics(dist, w, |a, b| table[(a | (b << w)) as usize], exact)
+    exact_pair_metrics(dist, w, |a, b| table[(a | (b << w)) as usize], config.exact_fn())
 }
 
 fn family_front(points: &[DistPoint], family: Family) -> Result<Vec<String>> {
@@ -284,18 +291,29 @@ fn family_front(points: &[DistPoint], family: Family) -> Result<Vec<String>> {
 pub fn score_distribution_space(width: usize, dist: InputDistribution) -> Result<DistFront> {
     let _span = obs_span!("explore.dist_space");
     let configs = enumerate_distribution_space(width)?;
+    let metrics =
+        configs.iter().map(|c| exact_config_metrics(c, dist)).collect::<Result<Vec<_>>>()?;
+    scored_front(dist, &configs, metrics)
+}
+
+/// The space scored under `dist` (`metrics[i]` belongs to `configs[i]`)
+/// and its per-class Pareto fronts.
+fn scored_front(
+    dist: InputDistribution,
+    configs: &[DistConfig],
+    metrics: impl IntoIterator<Item = DistExactMetrics>,
+) -> Result<DistFront> {
     obs_count!("explore.dist.configs", configs.len() as u64);
-    let points = configs
+    let points: Vec<DistPoint> = configs
         .iter()
-        .map(|c| {
-            Ok(DistPoint {
-                name: c.name().to_string(),
-                family: c.family(),
-                cost: c.cost(),
-                metrics: exact_config_metrics(c, dist)?,
-            })
+        .zip(metrics)
+        .map(|(c, metrics)| DistPoint {
+            name: c.name().to_string(),
+            family: c.family(),
+            cost: c.cost(),
+            metrics,
         })
-        .collect::<Result<Vec<DistPoint>>>()?;
+        .collect();
     let adder_front = family_front(&points, Family::Adder)?;
     let multiplier_front = family_front(&points, Family::Multiplier)?;
     Ok(DistFront { dist, points, adder_front, multiplier_front })
@@ -305,11 +323,37 @@ pub fn score_distribution_space(width: usize, dist: InputDistribution) -> Result
 /// ([`InputDistribution::ALL`]): the uniform baseline plus the three
 /// non-uniform shapes.
 ///
+/// The space is enumerated once, and each configuration's response table
+/// is built once and scored under every distribution. Configurations are
+/// independent units, fanned out on [`xlac_sim::default_threads`]
+/// workers ([`fan_out`]); the fronts are the same for any worker count.
+///
 /// # Errors
 ///
 /// Propagates enumeration and PMF width gates.
 pub fn distribution_fronts(width: usize) -> Result<Vec<DistFront>> {
-    InputDistribution::ALL.iter().map(|&dist| score_distribution_space(width, dist)).collect()
+    distribution_fronts_on(width, 0)
+}
+
+/// [`distribution_fronts`] on `threads` workers (`0` → the default).
+fn distribution_fronts_on(width: usize, threads: usize) -> Result<Vec<DistFront>> {
+    let _span = obs_span!("explore.dist_space");
+    let configs = enumerate_distribution_space(width)?;
+    // `scores[i][d]`: configuration `i` under distribution `d`.
+    let scores = fan_out(configs.len(), threads, || (), |(), i| {
+        let table = response_table(&configs[i].netlist, 2 * configs[i].width());
+        InputDistribution::ALL
+            .iter()
+            .map(|&dist| table_metrics(&configs[i], &table, dist))
+            .collect::<Result<Vec<_>>>()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    InputDistribution::ALL
+        .iter()
+        .enumerate()
+        .map(|(d, &dist)| scored_front(dist, &configs, scores.iter().map(|s| s[d].clone())))
+        .collect()
 }
 
 /// The Monte-Carlo twin of [`exact_config_metrics`]: the configuration's
@@ -381,6 +425,18 @@ mod tests {
                 assert_eq!(pt.metrics.error_rate, 0.0, "{name} under {}", front.dist.label());
                 assert_eq!(pt.metrics.max_error_distance, 0, "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn fronts_are_equal_at_one_and_three_workers_and_per_distribution() {
+        let one = distribution_fronts_on(8, 1).unwrap();
+        assert_eq!(format!("{one:?}"), format!("{:?}", distribution_fronts_on(8, 3).unwrap()));
+        // Sharing each response table across distributions changes no
+        // score: every front equals the one scored on its own.
+        for front in &one {
+            let alone = score_distribution_space(8, front.dist).unwrap();
+            assert_eq!(format!("{front:?}"), format!("{alone:?}"));
         }
     }
 

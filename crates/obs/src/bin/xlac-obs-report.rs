@@ -407,6 +407,12 @@ mod tests {
         let obj = parse_object(hist).unwrap();
         assert_eq!(obj.get("buckets"), Some(&Value::Arr(vec![0.0, 1.0, 1.0])));
 
+        let with_context = r#"{"name":"g/f","samples":12,"iters_per_sample":3,"median_ns":101.5,"mean_ns":102.0,"min_ns":99.0,"max_ns":110.0,"nproc":2,"threads":2,"profile":"release"}"#;
+        let obj = parse_object(with_context).unwrap();
+        assert!(matches!(classify(&obj), Some(Kind::Bench(n)) if n == "g/f"));
+        assert_eq!(obj.get("min_ns").and_then(Value::as_num), Some(99.0));
+        assert_eq!(obj.get("threads").and_then(Value::as_num), Some(2.0));
+
         let gauge = r#"{"name":"gauge/analysis.rate","value":null}"#;
         let obj = parse_object(gauge).unwrap();
         assert_eq!(obj.get("value"), Some(&Value::Null));

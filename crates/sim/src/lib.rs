@@ -23,11 +23,14 @@
 //!   layer: arbitrary-length operand batches ride the compiled programs
 //!   with a deterministic pad-and-mask discipline, so batches smaller
 //!   than one plane block are exact.
-//! * [`runner`] — a chunked multi-threaded sweep runner whose results are
-//!   **bitwise-identical for any worker count**: chunk RNG streams are
-//!   split off the parent sequentially before any thread runs, and chunk
-//!   results merge in chunk-index order; `auto_chunk_size` picks a chunk
-//!   size with load-balancing slack from the trial count alone.
+//! * [`runner`] — the ordered fan-out primitive (`fan_out`: an atomic
+//!   index queue, lazily built per-worker state, results in item order)
+//!   that sweeps and certification share, and the chunked sweep runner
+//!   on top of it, whose results are **bitwise-identical for any worker
+//!   count**: chunk RNG streams are split off the parent sequentially
+//!   before any thread runs, and chunk results merge in chunk-index
+//!   order; `auto_chunk_size` picks a chunk size with load-balancing
+//!   slack from the trial count alone.
 //! * [`sweeps`] — error-sweep drivers for multipliers, GeAr adders
 //!   (with and without the error-correction loop) and the SAD
 //!   accelerator, each with a scalar twin evaluating identical operands
@@ -62,7 +65,10 @@ pub mod sweeps;
 
 pub use batch::{eval_pairs, eval_pairs_auto};
 pub use jit::{CompiledMultiplier, CompiledProgram, JitStats, Op, OpKind, OutSrc};
-pub use runner::{auto_chunk_size, default_threads, run_chunks, DEFAULT_CHUNK, MIN_AUTO_CHUNK};
+pub use runner::{
+    auto_chunk_size, default_threads, fan_out, fan_out_costliest_first, run_chunks, DEFAULT_CHUNK,
+    MIN_AUTO_CHUNK,
+};
 pub use sweeps::{
     compiled_pair_sweep, compiled_sad_sweep, gear_sweep, gear_sweep_scalar, interpreted_pair_sweep,
     multiplier_sweep, multiplier_sweep_scalar, sad_sweep, sad_sweep_scalar, GearSweepResult,

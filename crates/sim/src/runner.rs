@@ -1,21 +1,27 @@
-//! The deterministic chunked sweep runner.
+//! The ordered fan-out primitive and the deterministic chunked sweep
+//! runner built on it.
+//!
+//! [`fan_out`] is the workspace's one parallel map: workers pull item
+//! indices from an atomic counter, each builds its own state on its first
+//! item, and the results come back **in item order** whatever thread ran
+//! them. Sweeps ([`run_chunks`]) and certification (proofs, audits,
+//! distribution fronts) both run through it.
 //!
 //! Monte-Carlo sweeps are split into fixed-size **chunks** of trials.
 //! Each chunk gets its own RNG, derived from the parent stream by
 //! [`Xoshiro256StarStar::split`] *sequentially, before any worker thread
 //! runs* — so the mapping `chunk index → random stream` is a pure
 //! function of `(seed, chunk size)` and never depends on which thread
-//! happens to pick the chunk up. Workers pull chunk indices from an
-//! atomic counter, store each chunk's result in its own slot, and the
-//! caller folds the slots **in chunk-index order**. Floating-point
+//! happens to pick the chunk up. [`fan_out`] hands the chunks to the
+//! workers and returns their results in chunk-index order, and the
+//! caller folds them front to back. Floating-point
 //! accumulation order is therefore fixed, making every sweep
 //! bitwise-identical for any worker count (the property
 //! `tests/determinism.rs` locks in).
 //!
 //! [`Xoshiro256StarStar::split`]: xlac_core::rng::Xoshiro256StarStar::split
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use xlac_core::rng::DefaultRng;
 use xlac_obs::{obs_count, obs_span};
 
@@ -66,6 +72,106 @@ pub fn default_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// Runs `work(state, i)` for every item `i` in `0..n` on `threads` worker
+/// threads (`0` → [`default_threads`]; never more workers than items)
+/// and returns the results **in item order**.
+///
+/// Workers take item indices from an atomic counter, so a slow item
+/// never holds up the rest. Each worker calls `init` once, on its first
+/// item, and passes that state to every item it runs — a worker that
+/// draws no item builds none. Which worker runs which item varies from
+/// run to run, so a result must depend on its index alone, never on the
+/// state's history; then the returned vector is the same for any worker
+/// count. Workers always run on spawned threads, so `obs` spans opened
+/// in `work` are top-level on every worker count.
+///
+/// A panic in `work` or `init` stops the other workers from taking new
+/// items and is re-raised on the caller's thread with its own payload.
+pub fn fan_out<S, R, I, W>(n: usize, threads: usize, init: I, work: W) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> R + Sync,
+{
+    let workers = if threads == 0 { default_threads() } else { threads }.min(n);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _stop_on_panic = StopOnPanic(&stop);
+                    let mut state = None;
+                    let mut done = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, work(state.get_or_insert_with(&init), i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        let mut panic = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, result) in done {
+                        slots[i] = Some(result);
+                    }
+                }
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every item ran")).collect()
+}
+
+/// [`fan_out`] over `costs.len()` items, handed out costliest first:
+/// `costs[i]` is a rough weight of item `i`, and equal weights keep item
+/// order. Starting the long items first keeps one of them from running
+/// alone at the end. The results are in item order.
+pub fn fan_out_costliest_first<S, R, I, W>(
+    costs: &[u32],
+    threads: usize,
+    init: I,
+    work: W,
+) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> R + Sync,
+{
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    let results = fan_out(order.len(), threads, init, |state, k| work(state, order[k]));
+    let mut slots: Vec<Option<R>> = (0..order.len()).map(|_| None).collect();
+    for (&i, result) in order.iter().zip(results) {
+        slots[i] = Some(result);
+    }
+    slots.into_iter().map(|slot| slot.expect("the order covers every item")).collect()
+}
+
+/// Tells the other [`fan_out`] workers to stop taking items when its
+/// worker unwinds.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Runs `eval` over `trials` trials split into chunks of `chunk` trials
 /// (`0` → [`auto_chunk_size`]), on `threads` worker threads
 /// (`0` → [`default_threads`]), and returns the per-chunk results **in
@@ -89,32 +195,11 @@ where
     // the parent before any thread is spawned.
     let mut parent = DefaultRng::seed_from_u64(seed);
     let rngs: Vec<DefaultRng> = (0..n_chunks).map(|_| parent.split()).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = if threads == 0 { default_threads() } else { threads }.min(n_chunks.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let lo = i as u64 * chunk;
-                let n = chunk.min(trials - lo);
-                let result = {
-                    let _chunk_span = obs_span!("sim.chunk");
-                    eval(i, n, rngs[i].clone())
-                };
-                *slots[i].lock().expect("no panics hold the slot lock") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("no panics hold the slot lock").expect("chunk evaluated")
-        })
-        .collect()
+    fan_out(n_chunks, threads, || (), |(), i| {
+        let lo = i as u64 * chunk;
+        let _chunk_span = obs_span!("sim.chunk");
+        eval(i, chunk.min(trials - lo), rngs[i].clone())
+    })
 }
 
 #[cfg(test)]
@@ -151,6 +236,93 @@ mod tests {
     fn zero_trials_yield_no_chunks() {
         let results = run_chunks(0, 1, 4, 64, |_, _, _| 0u64);
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order() {
+        // Uneven item costs make workers finish out of order.
+        let results = fan_out(40, 3, || (), |(), i| {
+            std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 5) as u64 * 200));
+            i * i
+        });
+        assert_eq!(results, (0..40).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_of_zero_items_starts_nothing() {
+        let inits = AtomicUsize::new(0);
+        let results: Vec<usize> = fan_out(0, 4, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
+        assert!(results.is_empty());
+        assert_eq!(inits.load(Ordering::Relaxed), 0, "no item, no worker state");
+    }
+
+    #[test]
+    fn fan_out_with_more_workers_than_items_runs_each_item_once() {
+        let runs = AtomicUsize::new(0);
+        let inits = AtomicUsize::new(0);
+        let results = fan_out(
+            3,
+            16,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                i + 100
+            },
+        );
+        assert_eq!(results, vec![100, 101, 102]);
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert!(inits.load(Ordering::Relaxed) <= 3, "workers are capped at the item count");
+    }
+
+    #[test]
+    fn fan_out_builds_each_worker_state_at_most_once() {
+        let inits = AtomicUsize::new(0);
+        // Each state remembers the thread that built it: it must stay
+        // with that worker for every item the worker runs.
+        let results = fan_out(
+            200,
+            3,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                std::thread::current().id()
+            },
+            |built_on, i| {
+                assert_eq!(*built_on, std::thread::current().id(), "state moved between workers");
+                i
+            },
+        );
+        assert_eq!(results, (0..200).collect::<Vec<_>>());
+        let built = inits.load(Ordering::Relaxed);
+        assert!((1..=3).contains(&built), "{built} states for 3 workers");
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(50, 3, || (), |(), i| {
+                assert!(i != 17, "item 17 failed");
+                i
+            })
+        });
+        let payload = caught.expect_err("the worker panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert_eq!(message, "item 17 failed");
+    }
+
+    #[test]
+    fn costliest_first_runs_heavy_items_first_and_returns_item_order() {
+        let costs = [0, 5, 1, 5, 9];
+        let started = std::sync::Mutex::new(Vec::new());
+        let results = fan_out_costliest_first(&costs, 1, || (), |(), i| {
+            started.lock().unwrap().push(i);
+            i * 10
+        });
+        assert_eq!(results, vec![0, 10, 20, 30, 40]);
+        assert_eq!(started.into_inner().unwrap(), vec![4, 1, 3, 2, 0]);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 #      the bit-sliced eval_x64 form are proven the same function, and
 #      every ≤8-bit static bound is checked sound against the exact
 #      BDD metrics; any refuted proof or unsound bound fails the gate;
+#      the certification pass fans out over XLAC_SIM_THREADS workers,
+#      so the report is produced a second time on one worker and must be
+#      byte-identical;
 #      the JSON report is kept as target/LINT_exact.json and absint_gate
 #      re-reads it to enforce the abstract-interpretation sweep
 #      (DESIGN.md §16): every automatically derived bound sound, and
@@ -59,7 +62,8 @@
 #  11. the observability layer (DESIGN.md §12): xlac-obs unit tests in
 #      both feature configurations, then the differential + lint +
 #      exact gates re-run under the instrumented build (--features obs)
-#      to prove instrumentation changes no result, and finally the
+#      to prove instrumentation changes no result, the proof registry's
+#      analysis.* snapshot checked equal at 1 and 3 workers, and finally the
 #      instrumented bitslice bench recorded into BENCH_obs.json with
 #      xlac-obs-report gating the overhead against BENCH_bitslice.json:
 #      any shared bench whose min_ns regresses more than 5% fails CI.
@@ -95,6 +99,11 @@ cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- --samples 1
 echo "==> xlac-lint --exact (equivalence proofs + bound soundness audit)"
 cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- \
     --exact --lint-only --json > target/LINT_exact.json
+
+echo "==> xlac-lint --exact on one worker (report identical to the default worker count)"
+XLAC_SIM_THREADS=1 cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- \
+    --exact --lint-only --json > target/LINT_exact_1thread.json
+cmp target/LINT_exact.json target/LINT_exact_1thread.json
 
 echo "==> absint gate (derived bounds: zero unsound, non-Wallace within 8x of exact)"
 cargo run -q --release -p xlac-bench --offline --bin absint_gate -- target/LINT_exact.json
@@ -168,6 +177,9 @@ cargo test -q -p xlac-obs --offline --features obs
 
 echo "==> instrumented differential suite (--features obs)"
 cargo test -q --offline --release --test bitslice_differential --features obs
+
+echo "==> instrumented proof registry (analysis.* snapshot equal at 1 and 3 workers)"
+cargo test -q --offline --release -p xlac-analysis --features obs --lib registry
 
 echo "==> instrumented xlac-lint (--features obs)"
 cargo run -q --release -p xlac-analysis --offline --features obs \
